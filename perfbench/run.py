@@ -8,9 +8,10 @@ One client drives ``specdist.cli.main(argv)`` in this process, closed loop:
 one operation at a time, BLAS/OpenMP threads capped at 1.  A run repeats the
 workload's seeded pass (see workloads.py) and checks every output against an
 independent reference (reference.py).  ``--trace 0`` reports the end-to-end
-metrics; ``--trace 1`` alternates untraced and traced passes and reports
-per-layer metrics per pass (tracer.py).  The last line of standard output is
-one JSON object: correct, attempted, failed and metrics.
+metrics, with latencies scaled to a nominal host speed by a fixed probe timed
+after every operation; ``--trace 1`` alternates untraced and traced passes
+and reports per-layer metrics per pass (tracer.py).  The last line of
+standard output is one JSON object: correct, attempted, failed and metrics.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ THREAD_CAPS = {
 }
 SETUP_REPEATS = 11  # timed fresh-process imports, after one untimed warm-up
 MIN_PASSES = 3  # repetitions of every operation in an untraced run
+# Median seconds of probe() on a 2-vCPU Intel Xeon VM at its usual speed.
+PROBE_NOMINAL_S = 0.0005
+SETUP_PROBES = 40  # probe() calls after each fresh-process import
 
 SETUP_SNIPPET = """\
 import time
@@ -142,24 +146,49 @@ def beyond(values, q):
     return sum(v > cut for v in values)
 
 
-class Tally:
-    """Verdicts and per-operation best latencies of one run phase.
+def probe():
+    """Seconds of a fixed mix of the kinds of work the program does: row
+    updates of a small matrix, JSON text and one vector cosine sum.  Nothing
+    of specdist runs here, so a change to the program leaves it alone."""
+    import numpy as np  # not at the top: the thread caps must be set first
 
-    Every pass repeats the same operations.  An operation's latency is the
-    least of its repetitions (best-of-k, as timeit reports): the shared host
-    slows whole seconds at a time, and the least of repetitions spread over
-    the run filters that while a slower program still reads slower."""
+    matrix = np.arange(256.0).reshape(16, 16) / 256
+    angles = np.linspace(0.0, 3.0, 16384)
+    t0 = time.perf_counter()
+    a = matrix.copy()
+    size = 0
+    for k in range(24):
+        p, q = k % 16, (k + 5) % 16
+        col = a[:, p].copy()
+        a[:, p] = 0.6 * col - 0.8 * a[:, q]
+        a[:, q] = 0.8 * col + 0.6 * a[:, q]
+        size += len(json.dumps({"k": k, "v": float(a[p, q])}))
+    size += float(np.cos(angles).sum()) > 0
+    return time.perf_counter() - t0
+
+
+class Tally:
+    """Verdicts and per-operation latencies of one run phase.
+
+    Every pass repeats the same operations, and an operation's latency is
+    the median of its repetitions.  The shared host changes speed by 10-50%
+    for seconds to minutes at a time, which no statistic of one run's own
+    samples filters out; ``probe()`` runs after every operation and slows
+    with the host, so ``scale()`` turns a latency into the latency on the
+    host at its nominal speed.  The probe runs no program code: a slower
+    program still reads slower."""
 
     def __init__(self):
-        self.best = {}  # op index -> least seconds
+        self.samples = {}  # op index -> seconds of each repetition
         self.items = {}  # op index -> items completed
+        self.probes = []  # seconds of each probe() call
         self.attempted = 0
         self.failed = 0
         self.digits = math.inf
         self.failures = []
 
     def add(self, index, op, elapsed, verdict):
-        self.best[index] = min(elapsed, self.best.get(index, math.inf))
+        self.samples.setdefault(index, []).append(elapsed)
         self.attempted += 1
         if not verdict.ok:
             self.failed += 1
@@ -170,11 +199,17 @@ class Tally:
         if verdict.digits is not None:
             self.digits = min(self.digits, verdict.digits)
 
+    def scale(self):
+        """Nominal over measured host speed: 1 without probes, below 1 when
+        the host runs slow."""
+        return PROBE_NOMINAL_S / statistics.median(self.probes) if self.probes else 1.0
+
     def latencies(self):
-        return list(self.best.values())
+        """Median seconds of each operation, scaled to the nominal host."""
+        return [statistics.median(v) * self.scale() for v in self.samples.values()]
 
     def items_per_s(self):
-        return sum(self.items.values()) / sum(self.best.values())
+        return sum(self.items.values()) / sum(self.latencies())
 
 
 def execute(cli, op):
@@ -209,8 +244,9 @@ def run_op(cli, index, op, ref, tally, tracer=None):
 
 
 def measure_setup(env):
-    """Median seconds of a fresh-process import of specdist.cli."""
-    times = []
+    """Median seconds of a fresh-process import of specdist.cli, and the
+    probes timed in this process between the imports."""
+    times, probes = [], []
     for i in range(SETUP_REPEATS + 1):
         proc = subprocess.run(
             [sys.executable, "-c", SETUP_SNIPPET],
@@ -218,7 +254,8 @@ def measure_setup(env):
         )
         if i:
             times.append(float(proc.stdout))
-    return statistics.median(times)
+        probes += [probe() for _ in range(SETUP_PROBES)]
+    return statistics.median(times), probes
 
 
 def fingerprint():
@@ -253,6 +290,7 @@ def untraced_run(cli, ops, refs, seconds):
         t0 = time.perf_counter()
         for i, op in enumerate(ops):
             run_op(cli, i, op, refs[op.key], tally)
+            tally.probes.append(probe())
         passes += 1
         now = time.perf_counter()
         if now - start + (now - t0) > seconds and passes >= MIN_PASSES:
@@ -316,7 +354,11 @@ def run_one(args):
     import specdist.cli as cli
 
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    setup_s = measure_setup(env)
+    setup_raw, setup_probes = measure_setup(env)
+    setup_scale = PROBE_NOMINAL_S / statistics.median(setup_probes)
+    setup_s = setup_raw * setup_scale
+    print(f"setup: unscaled median {setup_raw:.6g} s, probe median "
+          f"{statistics.median(setup_probes) * 1e3:.4f} ms, scaled by {setup_scale:.4f}")
     print(f"fingerprint {json.dumps(fingerprint(), sort_keys=True)}")
 
     (ROOT / ".perfbench_work").mkdir(exist_ok=True)
@@ -369,12 +411,19 @@ def run_one(args):
             print_metric(k, m["value"], m["unit"], "per pass")
     else:
         lat_ms = [1000 * x for x in tally.latencies()]
-        n = f"{len(lat_ms)} operations, each the best of {passes}"
+        n = f"{len(lat_ms)} operations, each the median of {passes}"
+        scale = tally.scale()
+        print(f"host speed: probe median {statistics.median(tally.probes) * 1e3:.4f} ms "
+              f"over {len(tally.probes)} probes, nominal {PROBE_NOMINAL_S * 1e3:g} ms; "
+              f"latencies scaled by {scale:.4f}, unscaled items_per_s "
+              f"{tally.items_per_s() * scale:.6g}, "
+              f"op_ms_p50 {percentile(lat_ms, 50) / scale:.6g}, "
+              f"op_ms_p90 {percentile(lat_ms, 90) / scale:.6g}")
         values = {
-            "setup_s": (setup_s, f"median of {SETUP_REPEATS} fresh-process imports"),
+            "setup_s": (setup_s, f"median of {SETUP_REPEATS} fresh-process imports, scaled"),
             "items_per_s": (tally.items_per_s(),
                             f"{sum(tally.items.values())} items per pass over "
-                            f"{sum(lat_ms) / 1000:.4f} s of best operation time"),
+                            f"{sum(lat_ms) / 1000:.4f} s of scaled median operation time"),
             "op_ms_p50": (percentile(lat_ms, 50), n),
             "op_ms_p90": (percentile(lat_ms, 90), f"{n}; {beyond(lat_ms, 90)} beyond it"),
             "accuracy_digits": (tally.digits, "min over operations against the reference"),

@@ -34,6 +34,28 @@ def test_a_pass_leaves_ten_samples_beyond_p90(name, tmp_path):
     assert run.beyond([float(i) for i in range(len(ops))], 90) >= 10
 
 
+def test_tally_takes_medians_and_scales_by_the_probe():
+    tally = run.Tally()
+    ok = reference.Verdict(True, items=2)
+    op = Op("spectrum", ("spectrum",), ("k",), 2, 0)
+    for elapsed in (1.0, 9.0, 2.0):
+        tally.add(0, op, elapsed, ok)
+    for elapsed in (4.0, 4.0, 5.0):
+        tally.add(1, op, elapsed, ok)
+    assert tally.latencies() == [2.0, 4.0]  # no probes: unscaled
+    assert tally.items_per_s() == pytest.approx(4 / 6.0)
+    # a host at half its nominal speed: probes take twice the nominal time
+    tally.probes = [2 * run.PROBE_NOMINAL_S, 2 * run.PROBE_NOMINAL_S, 7.0]
+    assert tally.scale() == pytest.approx(0.5)
+    assert tally.latencies() == pytest.approx([1.0, 2.0])
+    assert tally.items_per_s() == pytest.approx(4 / 3.0)
+
+
+def test_probe_times_a_fixed_piece_of_work():
+    times = [run.probe() for _ in range(5)]
+    assert all(0 < t < 1 for t in times)
+
+
 def test_self_time_subtracts_direct_children():
     spans = [
         ("a", 0.0, 10.0, -1),

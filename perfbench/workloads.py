@@ -16,15 +16,15 @@ from pathlib import Path
 FAMILY_MIN = {"p": 1, "c": 3, "z": 4, "w": 6}
 PAIR_MIN = {"pz": 4, "wz": 6, "pw": 6, "cz": 4}
 
-# Dense path: (lo, hi, orders per family, random graphs).  The host is
-# shared and noisy, so a run must repeat each operation many times: orders
-# stop at 48, where a pure-backend pass takes about 3 s.  Quantiles must not
-# hinge on one operation whose order the seed moves, so each falls in the
-# middle of a block of 20 operations of nearly one size: the median in the
-# block at n 20..24, the 90th percentile in the block at n 40..48.
+# Dense path: (lo, hi, orders per family, random graphs).  Orders stop at
+# 32, where a pure-backend pass takes about 1.5 s, so a run repeats every
+# operation about 20 times.  The quantiles must not hinge on one operation
+# whose order the seed moves, so each falls in the middle of a block of 20
+# operations of one order (the seed still draws the random graphs there):
+# the median in the block at n 16, the 90th percentile in the block at n 32.
 ORACLE_STRATA = (
-    (4, 7, 2, 2), (8, 11, 2, 2), (12, 15, 2, 2), (16, 19, 2, 2), (20, 24, 4, 4),
-    (28, 33, 2, 2), (34, 39, 2, 2), (40, 48, 4, 4),
+    (4, 6, 2, 2), (7, 9, 2, 2), (10, 12, 2, 2), (13, 14, 2, 2), (16, 16, 4, 4),
+    (18, 22, 2, 2), (24, 28, 2, 2), (32, 32, 4, 4),
 )
 
 # Closed-form path.  Geometric strata from 6 to 3000, one order drawn per

@@ -53,7 +53,12 @@ def _values_line(values):
 def run_spectrum(args):
     if args.graph_file:
         with open(args.graph_file, encoding="utf-8") as fh:
-            g = graphs.from_edge_list_text(fh.read())
+            text = fh.read()
+        try:
+            g = graphs.from_edge_list_text(text)
+        except ValueError as exc:
+            print(f"error: {args.graph_file}: {exc}", file=sys.stderr)
+            return 2
         values = spectra.numeric_spectrum(graphs.adjacency_matrix(g))
         closed = None
         label = f"graph-file n={g.n}"
@@ -144,6 +149,13 @@ def _verify_interlacing(pair, lo, hi):
     return checked, None
 
 
+def _empty_range(args):
+    lo, hi = args.n
+    check = f"interlacing {args.pair}" if args.check == "interlacing" else args.check
+    print(f"error: no order in {lo}..{hi} is valid for {check}", file=sys.stderr)
+    return 2
+
+
 def run_verify(args):
     lo, hi = args.n
     if args.check == "interlacing":
@@ -155,6 +167,8 @@ def run_verify(args):
             n, idx = failure
             print(f"FAIL interlacing {args.pair}: n={n} index={idx}")
             return 1
+        if not checked:
+            return _empty_range(args)
         print(f"PASS interlacing {args.pair}: {checked} orders checked")
         return 0
 
@@ -168,6 +182,8 @@ def run_verify(args):
                 print(f"FAIL additivity: n={n} residual={residual:.3g}")
                 return 1
             checked += 1
+        if not checked:
+            return _empty_range(args)
         print(f"PASS additivity: {checked} orders checked, max residual {worst:.3g}")
         return 0
 
@@ -187,6 +203,8 @@ def run_verify(args):
                     print(f"FAIL oracle: family={code} n={n} deviation={dev:.3g}")
                     return 1
                 checked += 1
+        if not checked:
+            return _empty_range(args)
         print(f"PASS oracle: {checked} spectra checked, max deviation {worst:.3g}")
         return 0
 
@@ -204,6 +222,8 @@ def run_verify(args):
                 print(f"FAIL bipartite-symmetry: family={code} n={n} asymmetry={asym:.3g}")
                 return 1
             checked += 1
+    if not checked:
+        return _empty_range(args)
     print(f"PASS bipartite-symmetry: {checked} spectra checked, max asymmetry {worst:.3g}")
     return 0
 
@@ -217,12 +237,7 @@ def run_scan(args):
         print(f"pair {args.pair} requires --residue 0..3", file=sys.stderr)
         return 2
     try:
-        estimate = limits.sequence_scan(
-            args.pair,
-            residue=args.residue,
-            n_max=args.n_max,
-            compensated=args.compensated,
-        )
+        estimate = limits.sequence_scan(args.pair, residue=args.residue, n_max=args.n_max)
     except (ValueError, ResidueMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -278,7 +293,6 @@ def build_parser():
     cp.add_argument("--pair", choices=["pz", "wz", "pw", "cz"], required=True)
     cp.add_argument("--residue", type=int, choices=[0, 1, 2, 3])
     cp.add_argument("--n-max", type=int, default=limits.DEFAULT_N_MAX)
-    cp.add_argument("--compensated", action="store_true", help="sum with math.fsum")
     cp.add_argument("--format", choices=["csv", "json"], default="csv")
     cp.add_argument("--out")
     cp.set_defaults(func=run_scan)

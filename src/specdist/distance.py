@@ -77,83 +77,121 @@ def crossover_index(n: int) -> int:
     raise ValueError(f"crossover index is defined for even n only, got {n}")
 
 
-def _sum(terms, compensated):
-    if compensated:
-        return math.fsum(terms)
-    return float(np.sum(terms))
+def _residue_bounds(pair: str, n: int):
+    """(k1_hi, k2_lo, k2_hi, equal_ks) of the case analysis for pz or wz.
+
+    G2 dominates k = 1..k1_hi for pz (G1 for wz), the other graph dominates
+    k = k2_lo..k2_hi, and the upper-half eigenvalues at the equal indices
+    coincide.
+    """
+    r = n % 4
+    if r == 1:
+        return (n - 1) // 4, (n + 3) // 4, (n - 1) // 2, ((n + 1) // 2,)
+    if r == 3:
+        return (n - 3) // 4, (n + 5) // 4, (n - 1) // 2, ((n + 1) // 4, (n + 1) // 2)
+    n_star = crossover_index(n)
+    if pair == "pz":
+        return n_star, n_star + 1, n // 2, ()
+    return n_star, n_star + 1, n // 2 - 1, (n // 2,)
 
 
-def _cos_z(k, n):
-    # k-th positive-side Z_n eigenvalue over 2: cos((2k-1) pi / (2n-2))
-    return np.cos((2 * k - 1) * math.pi / (2 * n - 2))
+def _sin_diff(x, y, x_minus_y):
+    """sin x - sin y, with x - y passed in so that nothing cancels."""
+    return 2.0 * math.cos(0.5 * (x + y)) * math.sin(0.5 * x_minus_y)
 
 
-def _cos_p(k, n):
-    return np.cos(k * math.pi / (n + 1))
+def _dirichlet_gap(alpha, beta, beta_minus_alpha, x, y, x_minus_y):
+    """sin(x) / (2 sin alpha) - sin(y) / (2 sin beta) for nearby angles.
+
+    Both quotients grow like n; split as (1/(2 sin alpha) - 1/(2 sin beta))
+    sin x + (sin x - sin y) / (2 sin beta), where each part is O(1) and its
+    difference comes from an exactly known angle difference.
+    """
+    sin_a, sin_b = math.sin(alpha), math.sin(beta)
+    coeff_gap = _sin_diff(beta, alpha, beta_minus_alpha) / (2.0 * sin_a * sin_b)
+    return coeff_gap * math.sin(x) + _sin_diff(x, y, x_minus_y) / (2.0 * sin_b)
 
 
-def _cos_w(k, n):
-    return np.cos((k - 1) * math.pi / (n - 3))
+# Prefix sums by Lagrange's identity (z_k, p_k, w_k are the upper-half
+# eigenvalues over 2 of Z_n, P_n and W_n):
+#   sum_{k<=K} cos((2k-1) pi/(2n-2)) = sin(K pi/(n-1)) / (2 sin(pi/(2n-2)))
+#   sum_{k<=K} cos(k pi/(n+1)) = sin((2K+1) pi/(2n+2)) / (2 sin(pi/(2n+2))) - 1/2
+#   sum_{k<=K} cos((k-1) pi/(n-3)) = sin((2K-1) pi/(2n-6)) / (2 sin(pi/(2n-6))) + 1/2
 
 
-def sigma_closed_pz(n: int, compensated: bool = False) -> float:
-    """sigma(P_n, Z_n) via the per-residue-class cosine sums."""
+def _prefix_pz(K, n):
+    """sum_{k=1}^{K} (z_k - p_k) for the pz pair at order n."""
+    # angle differences over the exact integer d: -pi/(n^2-1) between the
+    # half-steps, pi(4K-n+1)/(2(n^2-1)) between the sine arguments
+    d = 2 * (n * n - 1)
+    return 0.5 + _dirichlet_gap(
+        math.pi / (2 * n - 2),
+        math.pi / (2 * n + 2),
+        -2.0 * math.pi / d,
+        K * math.pi / (n - 1),
+        (2 * K + 1) * math.pi / (2 * n + 2),
+        (4 * K - n + 1) * math.pi / d,
+    )
+
+
+def _prefix_wz(K, n):
+    """sum_{k=1}^{K} (w_k - z_k) for the wz pair at order n."""
+    # as in _prefix_pz, with d = 2(n-1)(n-3)
+    d = 2 * (n - 1) * (n - 3)
+    return 0.5 + _dirichlet_gap(
+        math.pi / (2 * n - 6),
+        math.pi / (2 * n - 2),
+        -2.0 * math.pi / d,
+        (2 * K - 1) * math.pi / (2 * n - 6),
+        K * math.pi / (n - 1),
+        (4 * K - n + 1) * math.pi / d,
+    )
+
+
+def _sigma_from_prefix(pair, n, prefix):
+    # 4 * [sum_{k<=k1_hi} - sum_{k2_lo<=k<=k2_hi}] of the pair's cosine gaps
+    k1_hi, k2_lo, k2_hi, _ = _residue_bounds(pair, n)
+    return 4.0 * (prefix(k1_hi, n) + prefix(k2_lo - 1, n) - prefix(k2_hi, n))
+
+
+def sigma_closed_pz(n: int) -> float:
+    """sigma(P_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
     if n < 4:
         raise OrderTooSmallError("pair pz requires n >= 4")
-    r = n % 4
-    if r == 1:
-        k1_hi, k2_lo, k2_hi = (n - 1) // 4, (n + 3) // 4, (n - 1) // 2
-    elif r == 3:
-        k1_hi, k2_lo, k2_hi = (n - 3) // 4, (n + 5) // 4, (n - 1) // 2
-    else:
-        n_star = crossover_index(n)
-        k1_hi, k2_lo, k2_hi = n_star, n_star + 1, n // 2
-    k1 = np.arange(1, k1_hi + 1)
-    k2 = np.arange(k2_lo, k2_hi + 1)
-    total = _sum(_cos_z(k1, n) - _cos_p(k1, n), compensated)
-    total += _sum(_cos_p(k2, n) - _cos_z(k2, n), compensated)
-    return 4.0 * total
+    return _sigma_from_prefix("pz", n, _prefix_pz)
 
 
-def sigma_closed_wz(n: int, compensated: bool = False) -> float:
-    """sigma(W_n, Z_n) via the per-residue-class cosine sums."""
+def sigma_closed_wz(n: int) -> float:
+    """sigma(W_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
     if n < 6:
         raise OrderTooSmallError("pair wz requires n >= 6")
-    r = n % 4
-    if r == 1:
-        k1_hi, k2_lo, k2_hi = (n - 1) // 4, (n + 3) // 4, (n - 1) // 2
-    elif r == 3:
-        k1_hi, k2_lo, k2_hi = (n - 3) // 4, (n + 5) // 4, (n - 1) // 2
-    else:
-        n_star = crossover_index(n)
-        k1_hi, k2_lo, k2_hi = n_star, n_star + 1, n // 2 - 1
-    k1 = np.arange(1, k1_hi + 1)
-    k2 = np.arange(k2_lo, k2_hi + 1)
-    total = _sum(_cos_w(k1, n) - _cos_z(k1, n), compensated)
-    total += _sum(_cos_z(k2, n) - _cos_w(k2, n), compensated)
-    return 4.0 * total
+    return _sigma_from_prefix("wz", n, _prefix_wz)
 
 
-def sigma_closed_cz(half_order: int, compensated: bool = False) -> float:
-    """sigma(C_{2m}, Z_{2m}) for m = half_order, via the alternating sum."""
+def sigma_closed_cz(half_order: int) -> float:
+    """sigma(C_{2m}, Z_{2m}) for m = half_order, in O(1).
+
+    4 + 4 sum_{k=1}^{m-1} (-1)^k cos((2k-1) x) with x = pi/(4m-2) telescopes
+    to 4 - 2/cos x + 2 (-1)^(m-1) tan x.
+    """
     m = half_order
     if m < 2:
         raise OrderTooSmallError("pair cz requires half-order >= 2")
-    k = np.arange(1, m)
-    terms = ((-1.0) ** k) * np.cos((2 * k - 1) * math.pi / (4 * m - 2))
-    return 4.0 + 4.0 * _sum(terms, compensated)
+    x = math.pi / (4 * m - 2)
+    sign = 1.0 if m % 2 == 1 else -1.0
+    return 4.0 - 2.0 / math.cos(x) + 2.0 * sign * math.tan(x)
 
 
-def sigma_closed(pair: str, n: int, compensated: bool = False) -> float:
+def sigma_closed(pair: str, n: int) -> float:
     """Closed-form sigma for a pair at order n (pw uses additivity)."""
     _check_pair_order(pair, n)
     if pair == "pz":
-        return sigma_closed_pz(n, compensated)
+        return sigma_closed_pz(n)
     if pair == "wz":
-        return sigma_closed_wz(n, compensated)
+        return sigma_closed_wz(n)
     if pair == "pw":
-        return sigma_closed_pz(n, compensated) + sigma_closed_wz(n, compensated)
-    return sigma_closed_cz(n // 2, compensated)
+        return sigma_closed_pz(n) + sigma_closed_wz(n)
+    return sigma_closed_cz(n // 2)
 
 
 def check_additivity(n: int) -> float:
@@ -212,22 +250,7 @@ def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
         raise ValueError(f"no asserted pattern for pair {pair!r}")
 
     first = -1 if pair == "pz" else 1  # pz: Z (G2) dominates low indices
-    r = n % 4
-    equal_ks = []
-    if r == 1:
-        k1_hi, k2_lo, k2_hi = (n - 1) // 4, (n + 3) // 4, (n - 1) // 2
-        equal_ks = [(n + 1) // 2]
-    elif r == 3:
-        k1_hi, k2_lo, k2_hi = (n - 3) // 4, (n + 5) // 4, (n - 1) // 2
-        equal_ks = [(n + 1) // 4, (n + 1) // 2]
-    else:
-        n_star = crossover_index(n)
-        k1_hi, k2_lo = n_star, n_star + 1
-        if pair == "pz":
-            k2_hi = n // 2
-        else:
-            k2_hi = n // 2 - 1
-            equal_ks = [n // 2]
+    k1_hi, k2_lo, k2_hi, equal_ks = _residue_bounds(pair, n)
     for k in range(1, k1_hi + 1):
         codes[k - 1] = first
     for k in range(k2_lo, k2_hi + 1):

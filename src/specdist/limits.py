@@ -1,8 +1,9 @@
 """Limit scans of the sigma sequences along residue classes mod 4.
 
-Every scan point is a closed-form cosine sum (O(n)), so grids up to 1e5-1e6
-are cheap; the dense eigensolver never enters here.  Limits are estimated by
-first-order Richardson extrapolation on an approximately doubling grid.
+Every scan point is a closed-form sigma evaluated in O(1) (Lagrange prefix
+sums), so a scan costs O(samples) whatever its n_max; the dense eigensolver
+never enters here.  Limits are estimated by first-order Richardson
+extrapolation on an approximately doubling grid.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ def sequence_scan(
     residue=None,
     n_values=None,
     n_max: int = DEFAULT_N_MAX,
-    compensated: bool = False,
 ) -> LimitEstimate:
     """Evaluate the closed-form sigma along a residue-class grid and
     extrapolate the limit.  residue is required for pz/wz/pw, ignored for cz."""
@@ -168,7 +168,7 @@ def sequence_scan(
                 raise ResidueMismatchError(
                     f"n={n} is not {residue} (mod 4)"
                 )
-    samples = tuple((n, sigma_closed(pair, n, compensated)) for n in n_values)
+    samples = tuple((n, sigma_closed(pair, n)) for n in n_values)
     extrapolated = richardson_extrapolate(samples)
     target = target_constant(pair)
     return LimitEstimate(

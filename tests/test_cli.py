@@ -57,6 +57,15 @@ class TestSpectrum:
         golden = (1 + math.sqrt(5.0)) / 2
         assert values[0] == pytest.approx(golden, abs=1e-10)
 
+    def test_malformed_graph_file_exit_2(self, capsys, tmp_path):
+        # a non-integer vertex, then a vertex outside 0..n-1
+        for text in ("n 3\n0 x\n", "n 3\n0 7\n"):
+            graph_file = tmp_path / "bad.txt"
+            graph_file.write_text(text)
+            code, out, err = run(capsys, "spectrum", "--graph-file", str(graph_file))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and str(graph_file) in err
+
 
 class TestDist:
     def test_cz_n4(self, capsys):
@@ -122,6 +131,21 @@ class TestVerify:
     def test_interlacing_needs_pair(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "interlacing", "--n", "4..10")
         assert code == 2 and "pair" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--check", "interlacing", "--pair", "pz", "--n", "1..3"),
+            ("--check", "interlacing", "--pair", "cz", "--n", "5..5"),
+            ("--check", "additivity", "--n", "1..5"),
+            ("--check", "oracle", "--n=-3..0"),
+            ("--check", "bipartite-symmetry", "--n=-3..0"),
+        ],
+    )
+    def test_no_valid_order_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: no order in")
 
     def test_bad_range_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

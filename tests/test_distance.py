@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from specdist import (
     FamilySpec,
@@ -20,7 +22,7 @@ from specdist import (
     sigma_closed_wz,
     sigma_direct,
 )
-from specdist.distance import EQUALITY_TOL
+from specdist.distance import EQUALITY_TOL, _residue_bounds
 from specdist.errors import LengthMismatchError, OrderTooSmallError
 
 SQRT3 = math.sqrt(3.0)
@@ -93,12 +95,6 @@ class TestClosedSums:
         for n in range(4, 400, 2):
             assert abs(sigma_closed("cz", n) - sigma_direct("cz", n)) < 1e-9
 
-    def test_compensated_agrees(self):
-        for n in (101, 102, 103, 104):
-            assert sigma_closed_pz(n, compensated=True) == pytest.approx(
-                sigma_closed_pz(n), abs=1e-13
-            )
-
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
             sigma_closed_pz(3)
@@ -106,6 +102,104 @@ class TestClosedSums:
             sigma_closed_wz(5)
         with pytest.raises(OrderTooSmallError):
             sigma_closed_cz(1)
+
+
+# Upper-half eigenvalues over 2 as mpmath functions of (k, n, pi): the terms
+# of the per-residue closed sums.
+_MP_TERMS = {
+    "p": lambda k, n, pi: mp.cos(k * pi / (n + 1)),
+    "z": lambda k, n, pi: mp.cos((2 * k - 1) * pi / (2 * n - 2)),
+    "w": lambda k, n, pi: mp.cos((k - 1) * pi / (n - 3)),
+}
+
+REFERENCE_DPS = 40
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_terms(family, n):
+    """Terms k = 1..n/2 of one family at REFERENCE_DPS digits."""
+    with mp.workdps(REFERENCE_DPS):
+        term, pi = _MP_TERMS[family], +mp.pi
+        return tuple(term(k, n, pi) for k in range(1, n // 2 + 1))
+
+
+def _mp_direct(pair, n):
+    """The per-residue closed sum of pz, wz, pw or cz, summed term by term
+    with mp.fsum at REFERENCE_DPS digits."""
+    with mp.workdps(REFERENCE_DPS):
+        if pair == "pw":
+            return _mp_direct("pz", n) + _mp_direct("wz", n)
+        if pair == "cz":
+            m = n // 2
+            z = _mp_terms("z", n)  # cos((2k-1) pi/(4m-2)) for k < m
+            return 4 + 4 * mp.fsum((-1) ** k * z[k - 1] for k in range(1, m))
+        above, below = (_mp_terms(f, n) for f in ("zp" if pair == "pz" else "wz"))
+        k1_hi, k2_lo, k2_hi, _ = _residue_bounds(pair, n)
+        gaps = [above[k] - below[k] for k in range(k1_hi)]
+        gaps += [below[k] - above[k] for k in range(k2_lo - 1, k2_hi)]
+        return 4 * mp.fsum(gaps)
+
+
+def _mp_lagrange(pair, n):
+    """The same sums from the Lagrange prefix sums at the working precision;
+    their cancellation costs about log10(n) digits."""
+    if pair == "pw":
+        return _mp_lagrange("pz", n) + _mp_lagrange("wz", n)
+    if pair == "cz":
+        x = mp.pi / (2 * n - 2)
+        return 4 - 2 / mp.cos(x) + 2 * (-1) ** (n // 2 - 1) * mp.tan(x)
+    half = mp.mpf(1) / 2
+    prefix = {
+        "p": lambda K: mp.sin((2 * K + 1) * mp.pi / (2 * n + 2))
+        / (2 * mp.sin(mp.pi / (2 * n + 2))) - half,
+        "z": lambda K: mp.sin(K * mp.pi / (n - 1)) / (2 * mp.sin(mp.pi / (2 * n - 2))),
+        "w": lambda K: mp.sin((2 * K - 1) * mp.pi / (2 * n - 6))
+        / (2 * mp.sin(mp.pi / (2 * n - 6))) + half,
+    }
+    above, below = (prefix[f] for f in ("zp" if pair == "pz" else "wz"))
+
+    def g(K):
+        return above(K) - below(K)
+
+    k1_hi, k2_lo, k2_hi, _ = _residue_bounds(pair, n)
+    return 4 * (g(k1_hi) + g(k2_lo - 1) - g(k2_hi))
+
+
+def _class_orders(start):
+    """One order per class from start (a multiple of 4): n mod 4 for pz, wz
+    and pw, m = n/2 mod 2 for cz."""
+    return [("cz", n) for n in (start, start + 2)] + [
+        (pair, n) for pair in ("pz", "wz", "pw") for n in range(start, start + 4)
+    ]
+
+
+class TestClosedFormReference:
+    """The O(1) closed forms against mpmath references, for every class of
+    pz, wz, pw and cz."""
+
+    def test_every_order_to_400(self):
+        worst = 0.0
+        for n in range(4, 401):
+            for pair in ("pz", "wz", "pw", "cz"):
+                if n < 6 and pair in ("wz", "pw") or pair == "cz" and n % 2:
+                    continue
+                error = abs(sigma_closed(pair, n) - _mp_direct(pair, n))
+                worst = max(worst, float(error))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("pair,n", _class_orders(20_000))
+    def test_near_2e4(self, pair, n):
+        assert abs(sigma_closed(pair, n) - _mp_direct(pair, n)) <= 1e-14
+
+    @pytest.mark.parametrize("pair,n", _class_orders(10**9) + _class_orders(10**12))
+    def test_huge_orders(self, pair, n):
+        with mp.workdps(50):
+            assert abs(sigma_closed(pair, n) - _mp_lagrange(pair, n)) <= 1e-14
+
+    def test_lagrange_reference_matches_direct_sums(self):
+        with mp.workdps(50):
+            for pair, n in _class_orders(1000):
+                assert abs(_mp_lagrange(pair, n) - _mp_direct(pair, n)) < 1e-35
 
 
 class TestCrossover:

@@ -1,22 +1,11 @@
 """Build script for the optional compiled Jacobi kernel.
 
-The kernel's source is ``_jacobi.pyx``.  With Cython installed it is
-cythonized here; without Cython the committed Cython output ``_jacobi.c`` is
-compiled as it stands, so a C compiler is all the build needs.  The package
-works without the extension (a pure numpy fallback is selected at import
-time), so a missing compiler only costs speed.
+``src/specdist/_jacobi.c`` is a hand-written CPython extension, so a C
+compiler is all the build needs.  The package works without the extension (a
+pure numpy fallback is selected at import time), so a missing compiler only
+costs speed.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    extensions = [Extension("specdist._jacobi", ["src/specdist/_jacobi.c"])]
-else:
-    extensions = cythonize(
-        [Extension("specdist._jacobi", ["src/specdist/_jacobi.pyx"])],
-        language_level=3,
-    )
-
-setup(ext_modules=extensions)
+setup(ext_modules=[Extension("specdist._jacobi", ["src/specdist/_jacobi.c"])])

@@ -1,9 +1,10 @@
 """Pure numpy fallback for the cyclic Jacobi sweeps.
 
-Same contract as the compiled kernel in _jacobi.pyx: rotate in place until
+Same contract as the compiled kernel in _jacobi.c: rotate in place until
 the off-diagonal Frobenius norm falls below tol, return (converged, sweeps).
 Row/column updates are vectorized; the rotation loop itself stays in Python,
-so this path is an order of magnitude slower (see benchmarks/bench_jacobi.py).
+so this path is an order of magnitude slower (README.md shows how to compare
+the two backends).
 """
 
 import math

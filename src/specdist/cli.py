@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import distance, graphs, limits, spectra
-from .errors import OrderTooSmallError, ResidueMismatchError
-from .graphs import Family, FamilySpec
+from .errors import OrderTooLargeError, OrderTooSmallError, ResidueMismatchError
+from .graphs import MIN_ORDER, FamilySpec
 
 CONSISTENCY_TOL = 1e-9
 ORACLE_TOL = 1e-8
@@ -23,8 +23,6 @@ SYMMETRY_TOL = 1e-9
 
 # default scan acceptance tolerances on |extrapolated - target|
 SCAN_TOL = {"pz": 1e-3, "wz": 1e-3, "cz": 1e-3, "pw": 2e-3}
-
-_FAMILY_MIN = {"p": 1, "c": 3, "z": 4, "w": 6}
 
 
 def _parse_range(text):
@@ -66,7 +64,7 @@ def run_spectrum(args):
         if args.family is None or args.n is None:
             print("spectrum requires --family and --n (or --graph-file)", file=sys.stderr)
             return 2
-        spec = FamilySpec(Family(args.family), args.n)
+        spec = FamilySpec(args.family, args.n)
         label = f"{args.family} n={args.n}"
         closed = spectra.closed_spectrum(spec)
         if args.source == "closed":
@@ -140,11 +138,7 @@ def _verify_interlacing(pair, lo, hi):
             continue
         report = distance.interlace_pattern(pair, n)
         if not report.matches_proof:
-            expected = distance.expected_pattern_codes(pair, n)
-            observed = report.pattern
-            for i, code in enumerate(expected):
-                if observed[i] != distance._CODE_NAMES[int(code)]:
-                    return checked, (n, i + 1)
+            return checked, (n, distance.first_pattern_mismatch(report))
         checked += 1
     return checked, None
 
@@ -175,7 +169,7 @@ def run_verify(args):
     if args.check == "additivity":
         worst = 0.0
         checked = 0
-        for n in range(max(lo, 6), hi + 1):
+        for n in range(max(lo, distance.pair_min_order("pw")), hi + 1):
             residual = distance.check_additivity(n)
             worst = max(worst, residual)
             if residual >= ADDITIVITY_TOL:
@@ -190,9 +184,10 @@ def run_verify(args):
     if args.check == "oracle":
         worst = 0.0
         checked = 0
-        for code, minimum in _FAMILY_MIN.items():
+        for family, minimum in MIN_ORDER.items():
+            code = family.value
             for n in range(max(lo, minimum), hi + 1):
-                spec = FamilySpec(Family(code), n)
+                spec = FamilySpec(family, n)
                 closed = spectra.closed_spectrum(spec)
                 numeric = spectra.numeric_spectrum(
                     graphs.adjacency_matrix(graphs.build_family(spec))
@@ -211,11 +206,12 @@ def run_verify(args):
     # bipartite-symmetry: p, z, w at every order; c at even orders
     worst = 0.0
     checked = 0
-    for code, minimum in _FAMILY_MIN.items():
+    for family, minimum in MIN_ORDER.items():
+        code = family.value
         for n in range(max(lo, minimum), hi + 1):
             if code == "c" and n % 2 != 0:
                 continue
-            values = spectra.closed_spectrum(FamilySpec(Family(code), n))
+            values = spectra.closed_spectrum(FamilySpec(family, n))
             asym = float(np.max(np.abs(values + values[::-1])))
             worst = max(worst, asym)
             if asym >= SYMMETRY_TOL:
@@ -304,11 +300,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OrderTooSmallError as exc:
+    except (OrderTooSmallError, OrderTooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # an order too large for this machine's memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, OrderTooSmallError
-from .graphs import Family, FamilySpec
+from .errors import LengthMismatchError, OrderTooLargeError, OrderTooSmallError
+from .graphs import MIN_ORDER, Family, FamilySpec
 from .spectra import closed_spectrum
 
 PAIRS = ("pz", "wz", "pw", "cz")
@@ -27,7 +27,14 @@ _PAIR_FAMILIES = {
     "cz": (Family.CYCLE, Family.Z_TREE),
 }
 
-_PAIR_MIN_ORDER = {"pz": 4, "wz": 6, "pw": 6, "cz": 4}
+_PAIR_MIN_ORDER = {
+    pair: max(MIN_ORDER[f] for f in families) for pair, families in _PAIR_FAMILIES.items()
+}
+
+# Largest order the O(1) closed forms take: up to it every intermediate is a
+# normal double (the smallest, pi/(2(n^2-1)), is about 1.6e-300 there); near
+# n = 1e154 the squared order no longer converts to a float.
+MAX_CLOSED_ORDER = 10**150
 
 
 def pair_min_order(pair: str) -> int:
@@ -154,17 +161,23 @@ def _sigma_from_prefix(pair, n, prefix):
     return 4.0 * (prefix(k1_hi, n) + prefix(k2_lo - 1, n) - prefix(k2_hi, n))
 
 
+def _check_closed_order(pair, n):
+    minimum = _PAIR_MIN_ORDER[pair]
+    if n < minimum:
+        raise OrderTooSmallError(f"pair {pair} requires n >= {minimum}")
+    if n > MAX_CLOSED_ORDER:
+        raise OrderTooLargeError(f"pair {pair} requires n <= {MAX_CLOSED_ORDER:.0e}")
+
+
 def sigma_closed_pz(n: int) -> float:
     """sigma(P_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
-    if n < 4:
-        raise OrderTooSmallError("pair pz requires n >= 4")
+    _check_closed_order("pz", n)
     return _sigma_from_prefix("pz", n, _prefix_pz)
 
 
 def sigma_closed_wz(n: int) -> float:
     """sigma(W_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
-    if n < 6:
-        raise OrderTooSmallError("pair wz requires n >= 6")
+    _check_closed_order("wz", n)
     return _sigma_from_prefix("wz", n, _prefix_wz)
 
 
@@ -175,8 +188,7 @@ def sigma_closed_cz(half_order: int) -> float:
     to 4 - 2/cos x + 2 (-1)^(m-1) tan x.
     """
     m = half_order
-    if m < 2:
-        raise OrderTooSmallError("pair cz requires half-order >= 2")
+    _check_closed_order("cz", 2 * m)
     x = math.pi / (4 * m - 2)
     sign = 1.0 if m % 2 == 1 else -1.0
     return 4.0 - 2.0 / math.cos(x) + 2.0 * sign * math.tan(x)
@@ -196,8 +208,9 @@ def sigma_closed(pair: str, n: int) -> float:
 
 def check_additivity(n: int) -> float:
     """Residual |sigma(P,W) - sigma(P,Z) - sigma(W,Z)| from closed spectra."""
-    if n < 6:
-        raise OrderTooSmallError("additivity check requires n >= 6")
+    minimum = _PAIR_MIN_ORDER["pw"]
+    if n < minimum:
+        raise OrderTooSmallError(f"additivity check requires n >= {minimum}")
     return abs(sigma_direct("pw", n) - sigma_direct("pz", n) - sigma_direct("wz", n))
 
 
@@ -281,6 +294,16 @@ def distance_report(pair: str, n: int) -> DistanceReport:
         pattern=tuple(_CODE_NAMES[int(c)] for c in observed),
         matches_proof=verdict,
     )
+
+
+def first_pattern_mismatch(report: DistanceReport) -> int | None:
+    """1-based index of the first entry where the observed pattern departs
+    from the asserted one, or None when they agree."""
+    expected = expected_pattern_codes(report.pair, report.n)
+    for i, code in enumerate(expected):
+        if report.pattern[i] != _CODE_NAMES[int(code)]:
+            return i + 1
+    return None
 
 
 def interlace_pattern(pair: str, n: int) -> DistanceReport:

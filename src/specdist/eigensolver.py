@@ -1,8 +1,8 @@
 """Dense symmetric eigensolver built on cyclic Jacobi sweeps.
 
-The compiled Cython kernel is preferred; a pure numpy implementation with
-identical semantics is selected when the extension is unavailable or when
-SPECTRA_NO_EXT=1 is set.  Convergence: off-diagonal Frobenius norm below
+The compiled C kernel (``_jacobi.c``) is preferred; a pure numpy
+implementation with identical semantics is selected when the extension is
+unavailable or when SPECTRA_NO_EXT=1 is set.  Convergence: off-diagonal Frobenius norm below
 1e-12 * n, within a budget of 100 sweeps.
 """
 

@@ -5,6 +5,10 @@ class OrderTooSmallError(ValueError):
     """A graph family was requested below its minimum order."""
 
 
+class OrderTooLargeError(ValueError):
+    """An order beyond what the requested computation can represent."""
+
+
 class LengthMismatchError(ValueError):
     """Two spectra of different lengths were compared."""
 

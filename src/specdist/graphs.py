@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import OrderTooSmallError
+from .errors import OrderTooLargeError, OrderTooSmallError
 
 
 class Family(str, Enum):
@@ -29,6 +29,10 @@ MIN_ORDER = {
     Family.Z_TREE: 4,
     Family.W_TREE: 6,
 }
+
+# Largest order whose n float64 eigenvalues fit in one numpy array; above it
+# numpy refuses the allocation or, near 2**63, silently returns an empty range.
+MAX_ORDER = np.iinfo(np.intp).max // 8
 
 _FAMILY_LABEL = {
     Family.PATH: "P",
@@ -52,6 +56,10 @@ class FamilySpec:
         if self.n < minimum:
             raise OrderTooSmallError(
                 f"{_FAMILY_LABEL[family]} requires n >= {minimum}"
+            )
+        if self.n > MAX_ORDER:
+            raise OrderTooLargeError(
+                f"{_FAMILY_LABEL[family]} requires n <= {MAX_ORDER}"
             )
 
 
@@ -242,13 +250,29 @@ def to_edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _malformed(lineno, line, expected):
+    return ValueError(f'line {lineno}: expected "{expected}", got {line!r}')
+
+
 def from_edge_list_text(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("n "):
+    """Parse the format of ``to_edge_list_text``; blank lines are skipped.
+
+    A malformed line raises ValueError naming its 1-based line number.
+    """
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("n "):
         raise ValueError('edge list must start with a header line "n <count>"')
-    n = int(lines[0].split()[1])
+    no, header = lines[0]
+    try:
+        _, count = header.split()
+        n = int(count)
+    except ValueError:
+        raise _malformed(no, header, "n <count>") from None
     edges = set()
-    for ln in lines[1:]:
-        u, v = (int(tok) for tok in ln.split())
+    for no, ln in lines[1:]:
+        try:
+            u, v = (int(tok) for tok in ln.split())
+        except ValueError:
+            raise _malformed(no, ln, "i j") from None
         edges.add((u, v))
     return Graph(n, frozenset(edges))

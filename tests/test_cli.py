@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from specdist import build_path, to_edge_list_text
+from specdist import build_path, cli, distance, to_edge_list_text
 from specdist.cli import main
 
 
@@ -58,13 +58,20 @@ class TestSpectrum:
         assert values[0] == pytest.approx(golden, abs=1e-10)
 
     def test_malformed_graph_file_exit_2(self, capsys, tmp_path):
-        # a non-integer vertex, then a vertex outside 0..n-1
-        for text in ("n 3\n0 x\n", "n 3\n0 7\n"):
+        # a non-integer vertex, a vertex outside 0..n-1, a three-token edge,
+        # a bad line after a blank one, a non-integer count
+        for text, reason in (
+            ("n 3\n0 x\n", """line 2: expected "i j", got '0 x'"""),
+            ("n 3\n0 7\n", "edge (0, 7) out of range for n=3"),
+            ("n 3\n0 1 2\n", """line 2: expected "i j", got '0 1 2'"""),
+            ("n 3\n0 1\n\n1 y\n", """line 4: expected "i j", got '1 y'"""),
+            ("n three\n", """line 1: expected "n <count>", got 'n three'"""),
+        ):
             graph_file = tmp_path / "bad.txt"
             graph_file.write_text(text)
             code, out, err = run(capsys, "spectrum", "--graph-file", str(graph_file))
             assert code == 2 and out == ""
-            assert err.startswith("error: ") and str(graph_file) in err
+            assert err == f"error: {graph_file}: {reason}\n"
 
 
 class TestDist:
@@ -94,6 +101,20 @@ class TestDist:
         code, _, err = run(capsys, "dist", "--pair", "pz", "--n", "3")
         assert code == 2
         assert "n >= 4" in err
+
+    def test_order_too_large_exit_2(self, capsys):
+        code, out, err = run(capsys, "dist", "--pair", "pz", "--n", str(10**170))
+        assert code == 2 and out == ""
+        assert err.startswith("error: P requires n <= ")
+
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch):
+        def exhausted(pair, n):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(distance, "distance_report", exhausted)
+        code, out, err = run(capsys, "dist", "--pair", "pz", "--n", str(10**12))
+        assert code == 2 and out == ""
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
@@ -127,6 +148,14 @@ class TestVerify:
             capsys, "verify", "--check", "bipartite-symmetry", "--n", "4..80"
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "check,tol", [("oracle", "ORACLE_TOL"), ("bipartite-symmetry", "SYMMETRY_TOL")]
+    )
+    def test_failure_names_family_code(self, capsys, monkeypatch, check, tol):
+        monkeypatch.setattr(cli, tol, 0.0)
+        code, out, _ = run(capsys, "verify", "--check", check, "--n", "4..6")
+        assert code == 1 and out.startswith(f"FAIL {check}: family=p n=4 ")
 
     def test_interlacing_needs_pair(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "interlacing", "--n", "4..10")
@@ -179,6 +208,13 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--pair", "cz", "--n-max", "10000")
         assert code == 1
         assert "FAIL scan" in out
+
+    def test_order_too_large_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--pair", "pz", "--residue", "1", "--n-max", str(10**170)
+        )
+        assert code == 2 and out == ""
+        assert err == "error: pair pz requires n <= 1e+150\n"
 
     def test_missing_residue_exit_2(self, capsys):
         code, _, err = run(capsys, "scan", "--pair", "pw", "--n-max", "1000")

@@ -22,8 +22,8 @@ from specdist import (
     sigma_closed_wz,
     sigma_direct,
 )
-from specdist.distance import EQUALITY_TOL, _residue_bounds
-from specdist.errors import LengthMismatchError, OrderTooSmallError
+from specdist.distance import EQUALITY_TOL, MAX_CLOSED_ORDER, PAIRS, _residue_bounds
+from specdist.errors import LengthMismatchError, OrderTooLargeError, OrderTooSmallError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -102,6 +102,11 @@ class TestClosedSums:
             sigma_closed_wz(5)
         with pytest.raises(OrderTooSmallError):
             sigma_closed_cz(1)
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_order_too_large(self, pair):
+        with pytest.raises(OrderTooLargeError):
+            sigma_closed(pair, MAX_CLOSED_ORDER + 2)
 
 
 # Upper-half eigenvalues over 2 as mpmath functions of (k, n, pi): the terms
@@ -194,6 +199,12 @@ class TestClosedFormReference:
     @pytest.mark.parametrize("pair,n", _class_orders(10**9) + _class_orders(10**12))
     def test_huge_orders(self, pair, n):
         with mp.workdps(50):
+            assert abs(sigma_closed(pair, n) - _mp_lagrange(pair, n)) <= 1e-14
+
+    @pytest.mark.parametrize("pair,n", _class_orders(MAX_CLOSED_ORDER - 4))
+    def test_largest_orders(self, pair, n):
+        # the Lagrange form cancels about 150 digits here
+        with mp.workdps(200):
             assert abs(sigma_closed(pair, n) - _mp_lagrange(pair, n)) <= 1e-14
 
     def test_lagrange_reference_matches_direct_sums(self):

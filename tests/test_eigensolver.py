@@ -70,6 +70,29 @@ def test_backends_agree():
         assert np.max(np.abs(compiled - pure)) < 1e-10
 
 
+def _read_only(m):
+    m.setflags(write=False)
+    return m
+
+
+@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel unavailable")
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.eye(3, dtype=np.float32),
+        np.eye(6)[::2, ::2],
+        _read_only(np.eye(3)),
+        np.zeros((2, 3)),
+    ],
+    ids=["float32", "non-contiguous", "read-only", "non-square"],
+)
+def test_compiled_kernel_rejects_bad_buffers(a):
+    from specdist._jacobi import jacobi_sweeps
+
+    with pytest.raises(ValueError):
+        jacobi_sweeps(a, 10, 1e-12)
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         symmetric_eigenvalues([[0.0]], backend="lapack")

@@ -7,6 +7,7 @@ overrides the scan acceptance tolerance.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import distance, graphs, limits, spectra
 from .errors import OrderTooLargeError, OrderTooSmallError, ResidueMismatchError
-from .graphs import MIN_ORDER, FamilySpec
+from .graphs import Family, FamilySpec
 
 CONSISTENCY_TOL = 1e-9
 ORACLE_TOL = 1e-8
@@ -76,10 +77,9 @@ def run_spectrum(args):
     if args.source == "both" and closed is not None:
         deviation = spectra.spectrum_deviation(closed, values)
         if args.format == "json":
-            text = (
-                f'{{"spectrum": "{label}", "closed": [{_values_line(closed)}], '
-                f'"numeric": [{_values_line(values)}], "deviation": {deviation:.17g}}}\n'
-            )
+            payload = {"spectrum": label, "closed": closed.tolist(),
+                       "numeric": values.tolist(), "deviation": deviation}
+            text = json.dumps(payload) + "\n"
         else:
             text = (
                 f"closed  {_values_line(closed)}\n"
@@ -92,7 +92,7 @@ def run_spectrum(args):
     if args.format == "csv":
         text = spectra.spectrum_to_csv(values)
     elif args.format == "json":
-        text = f'{{"spectrum": "{label}", "values": [{_values_line(values)}]}}\n'
+        text = json.dumps({"spectrum": label, "values": values.tolist()}) + "\n"
     else:
         text = "\n".join(f"{v:.17g}" for v in values) + "\n"
     _emit(text, args.out)
@@ -130,17 +130,39 @@ def run_dist(args):
     return status
 
 
-def _verify_interlacing(pair, lo, hi):
-    minimum = distance.pair_min_order(pair)
-    checked = 0
-    for n in range(max(lo, minimum), hi + 1):
-        if pair == "cz" and n % 2 != 0:
-            continue
-        report = distance.interlace_pattern(pair, n)
-        if not report.matches_proof:
-            return checked, (n, distance.first_pattern_mismatch(report))
-        checked += 1
-    return checked, None
+def _additivity_rows(lo, hi):
+    for n in distance.pair_orders("pw", lo, hi):
+        yield f"n={n}", distance.check_additivity(n)
+
+
+def _oracle_rows(lo, hi):
+    for family in Family:
+        for n in graphs.family_orders(family, lo, hi):
+            spec = FamilySpec(family, n)
+            numeric = spectra.numeric_spectrum(
+                graphs.adjacency_matrix(graphs.build_family(spec))
+            )
+            deviation = spectra.spectrum_deviation(spectra.closed_spectrum(spec), numeric)
+            yield f"family={family.value} n={n}", deviation
+
+
+def _symmetry_rows(lo, hi):
+    for family in Family:
+        for n in graphs.family_orders(family, lo, hi):
+            if family is Family.CYCLE and n % 2 != 0:
+                continue  # odd cycles are not bipartite
+            values = spectra.closed_spectrum(FamilySpec(family, n))
+            asymmetry = float(np.max(np.abs(values + values[::-1])))
+            yield f"family={family.value} n={n}", asymmetry
+
+
+# check -> (rows over lo..hi as (where, value), noun, quantity, tolerance
+# name); the tolerance is looked up when the check runs
+_TOLERANCE_CHECKS = {
+    "additivity": (_additivity_rows, "orders", "residual", "ADDITIVITY_TOL"),
+    "oracle": (_oracle_rows, "spectra", "deviation", "ORACLE_TOL"),
+    "bipartite-symmetry": (_symmetry_rows, "spectra", "asymmetry", "SYMMETRY_TOL"),
+}
 
 
 def _empty_range(args):
@@ -150,77 +172,39 @@ def _empty_range(args):
     return 2
 
 
-def run_verify(args):
-    lo, hi = args.n
-    if args.check == "interlacing":
-        if args.pair is None or args.pair == "pw":
-            print("interlacing requires --pair pz, wz or cz", file=sys.stderr)
-            return 2
-        checked, failure = _verify_interlacing(args.pair, lo, hi)
-        if failure:
-            n, idx = failure
-            print(f"FAIL interlacing {args.pair}: n={n} index={idx}")
+def _verify_interlacing(args):
+    if args.pair is None or args.pair == "pw":
+        print("interlacing requires --pair pz, wz or cz", file=sys.stderr)
+        return 2
+    orders = distance.pair_orders(args.pair, *args.n)
+    for n in orders:
+        report = distance.interlace_pattern(args.pair, n)
+        if not report.matches_proof:
+            index = distance.first_pattern_mismatch(report)
+            print(f"FAIL interlacing {args.pair}: n={n} index={index}")
             return 1
-        if not checked:
-            return _empty_range(args)
-        print(f"PASS interlacing {args.pair}: {checked} orders checked")
-        return 0
+    if not orders:
+        return _empty_range(args)
+    print(f"PASS interlacing {args.pair}: {len(orders)} orders checked")
+    return 0
 
-    if args.check == "additivity":
-        worst = 0.0
-        checked = 0
-        for n in range(max(lo, distance.pair_min_order("pw")), hi + 1):
-            residual = distance.check_additivity(n)
-            worst = max(worst, residual)
-            if residual >= ADDITIVITY_TOL:
-                print(f"FAIL additivity: n={n} residual={residual:.3g}")
-                return 1
-            checked += 1
-        if not checked:
-            return _empty_range(args)
-        print(f"PASS additivity: {checked} orders checked, max residual {worst:.3g}")
-        return 0
 
-    if args.check == "oracle":
-        worst = 0.0
-        checked = 0
-        for family, minimum in MIN_ORDER.items():
-            code = family.value
-            for n in range(max(lo, minimum), hi + 1):
-                spec = FamilySpec(family, n)
-                closed = spectra.closed_spectrum(spec)
-                numeric = spectra.numeric_spectrum(
-                    graphs.adjacency_matrix(graphs.build_family(spec))
-                )
-                dev = spectra.spectrum_deviation(closed, numeric)
-                worst = max(worst, dev)
-                if dev >= ORACLE_TOL:
-                    print(f"FAIL oracle: family={code} n={n} deviation={dev:.3g}")
-                    return 1
-                checked += 1
-        if not checked:
-            return _empty_range(args)
-        print(f"PASS oracle: {checked} spectra checked, max deviation {worst:.3g}")
-        return 0
-
-    # bipartite-symmetry: p, z, w at every order; c at even orders
+def run_verify(args):
+    if args.check == "interlacing":
+        return _verify_interlacing(args)
+    rows, noun, quantity, tol_name = _TOLERANCE_CHECKS[args.check]
+    tol = globals()[tol_name]
     worst = 0.0
     checked = 0
-    for family, minimum in MIN_ORDER.items():
-        code = family.value
-        for n in range(max(lo, minimum), hi + 1):
-            if code == "c" and n % 2 != 0:
-                continue
-            values = spectra.closed_spectrum(FamilySpec(family, n))
-            asym = float(np.max(np.abs(values + values[::-1])))
-            worst = max(worst, asym)
-            if asym >= SYMMETRY_TOL:
-                print(f"FAIL bipartite-symmetry: family={code} n={n} asymmetry={asym:.3g}")
-                return 1
-            checked += 1
+    for where, value in rows(*args.n):
+        if value >= tol:
+            print(f"FAIL {args.check}: {where} {quantity}={value:.3g}")
+            return 1
+        worst = max(worst, value)
+        checked += 1
     if not checked:
         return _empty_range(args)
-    print(f"PASS bipartite-symmetry: {checked} spectra checked, max asymmetry {worst:.3g}")
+    print(f"PASS {args.check}: {checked} {noun} checked, max {quantity} {worst:.3g}")
     return 0
 
 
@@ -234,7 +218,7 @@ def run_scan(args):
         return 2
     try:
         estimate = limits.sequence_scan(args.pair, residue=args.residue, n_max=args.n_max)
-    except (ValueError, ResidueMismatchError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
@@ -300,7 +284,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OrderTooSmallError, OrderTooLargeError, OSError) as exc:
+    except (OrderTooSmallError, OrderTooLargeError, ResidueMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an order too large for this machine's memory

@@ -7,12 +7,18 @@ The cz pair always compares C_n with Z_n at even order n.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, OrderTooLargeError, OrderTooSmallError
+from .errors import (
+    LengthMismatchError,
+    OrderTooLargeError,
+    OrderTooSmallError,
+    ResidueMismatchError,
+)
 from .graphs import MIN_ORDER, Family, FamilySpec
 from .spectra import closed_spectrum
 
@@ -38,22 +44,43 @@ MAX_CLOSED_ORDER = 10**150
 
 
 def pair_min_order(pair: str) -> int:
+    """Smallest order of the pair; ValueError for an unknown pair."""
+    if pair not in PAIRS:
+        raise ValueError(f"unknown pair {pair!r}")
     return _PAIR_MIN_ORDER[pair]
 
 
-def _check_pair_order(pair, n):
-    if pair not in PAIRS:
-        raise ValueError(f"unknown pair {pair!r}")
-    minimum = _PAIR_MIN_ORDER[pair]
+def check_pair_order(pair: str, n: int, residue=None, closed: bool = False):
+    """Raise unless n is a valid order of the pair: at least its minimum
+    (OrderTooSmallError); even for cz, else n = residue (mod 4) when a residue
+    is given (ResidueMismatchError); at most MAX_CLOSED_ORDER for the closed
+    forms (OrderTooLargeError)."""
+    minimum = pair_min_order(pair)
     if n < minimum:
         raise OrderTooSmallError(f"pair {pair} requires n >= {minimum}")
-    if pair == "cz" and n % 2 != 0:
-        raise OrderTooSmallError("pair cz requires an even order")
+    if pair == "cz":
+        if n % 2 != 0:
+            raise ResidueMismatchError("pair cz requires an even order")
+    elif residue is not None and n % 4 != residue:
+        raise ResidueMismatchError(f"n={n} is not {residue} (mod 4)")
+    if closed and n > MAX_CLOSED_ORDER:
+        raise OrderTooLargeError(f"pair {pair} requires n <= {MAX_CLOSED_ORDER:.0e}")
+
+
+def pair_orders(pair: str, lo: int, hi: int, residue=None) -> range:
+    """The orders in lo..hi that check_pair_order accepts, ascending (the
+    closed-form bound aside)."""
+    start = max(lo, pair_min_order(pair))
+    if pair == "cz":
+        return range(start + start % 2, hi + 1, 2)
+    if residue is None:
+        return range(start, hi + 1)
+    return range(start + (residue - start) % 4, hi + 1, 4)
 
 
 def pair_spectra(pair: str, n: int):
     """Closed-form spectra (G1, G2) for a pair at order n."""
-    _check_pair_order(pair, n)
+    check_pair_order(pair, n)
     f1, f2 = _PAIR_FAMILIES[pair]
     return closed_spectrum(FamilySpec(f1, n)), closed_spectrum(FamilySpec(f2, n))
 
@@ -155,62 +182,48 @@ def _prefix_wz(K, n):
     )
 
 
-def _sigma_from_prefix(pair, n, prefix):
+def _sigma_from_prefix(pair, n):
     # 4 * [sum_{k<=k1_hi} - sum_{k2_lo<=k<=k2_hi}] of the pair's cosine gaps
     k1_hi, k2_lo, k2_hi, _ = _residue_bounds(pair, n)
+    prefix = _prefix_pz if pair == "pz" else _prefix_wz
     return 4.0 * (prefix(k1_hi, n) + prefix(k2_lo - 1, n) - prefix(k2_hi, n))
 
 
-def _check_closed_order(pair, n):
-    minimum = _PAIR_MIN_ORDER[pair]
-    if n < minimum:
-        raise OrderTooSmallError(f"pair {pair} requires n >= {minimum}")
-    if n > MAX_CLOSED_ORDER:
-        raise OrderTooLargeError(f"pair {pair} requires n <= {MAX_CLOSED_ORDER:.0e}")
+def sigma_closed(pair: str, n: int) -> float:
+    """Closed-form sigma for a pair at order n, in O(1) (pw uses additivity).
 
-
-def sigma_closed_pz(n: int) -> float:
-    """sigma(P_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
-    _check_closed_order("pz", n)
-    return _sigma_from_prefix("pz", n, _prefix_pz)
-
-
-def sigma_closed_wz(n: int) -> float:
-    """sigma(W_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
-    _check_closed_order("wz", n)
-    return _sigma_from_prefix("wz", n, _prefix_wz)
-
-
-def sigma_closed_cz(half_order: int) -> float:
-    """sigma(C_{2m}, Z_{2m}) for m = half_order, in O(1).
-
-    4 + 4 sum_{k=1}^{m-1} (-1)^k cos((2k-1) x) with x = pi/(4m-2) telescopes
-    to 4 - 2/cos x + 2 (-1)^(m-1) tan x.
+    pz and wz sum the per-residue-class cosine gaps by prefix sums.  For cz,
+    n = 2m, 4 + 4 sum_{k=1}^{m-1} (-1)^k cos((2k-1) x) with x = pi/(4m-2)
+    telescopes to 4 - 2/cos x + 2 (-1)^(m-1) tan x.
     """
-    m = half_order
-    _check_closed_order("cz", 2 * m)
+    check_pair_order(pair, n, closed=True)
+    if pair in ("pz", "wz"):
+        return _sigma_from_prefix(pair, n)
+    if pair == "pw":
+        return _sigma_from_prefix("pz", n) + _sigma_from_prefix("wz", n)
+    m = n // 2
     x = math.pi / (4 * m - 2)
     sign = 1.0 if m % 2 == 1 else -1.0
     return 4.0 - 2.0 / math.cos(x) + 2.0 * sign * math.tan(x)
 
 
-def sigma_closed(pair: str, n: int) -> float:
-    """Closed-form sigma for a pair at order n (pw uses additivity)."""
-    _check_pair_order(pair, n)
-    if pair == "pz":
-        return sigma_closed_pz(n)
-    if pair == "wz":
-        return sigma_closed_wz(n)
-    if pair == "pw":
-        return sigma_closed_pz(n) + sigma_closed_wz(n)
-    return sigma_closed_cz(n // 2)
+def sigma_closed_pz(n: int) -> float:
+    """sigma(P_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
+    return sigma_closed("pz", n)
+
+
+def sigma_closed_wz(n: int) -> float:
+    """sigma(W_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
+    return sigma_closed("wz", n)
+
+
+def sigma_closed_cz(half_order: int) -> float:
+    """sigma(C_{2m}, Z_{2m}) for m = half_order, in O(1)."""
+    return sigma_closed("cz", 2 * half_order)
 
 
 def check_additivity(n: int) -> float:
     """Residual |sigma(P,W) - sigma(P,Z) - sigma(W,Z)| from closed spectra."""
-    minimum = _PAIR_MIN_ORDER["pw"]
-    if n < minimum:
-        raise OrderTooSmallError(f"additivity check requires n >= {minimum}")
     return abs(sigma_direct("pw", n) - sigma_direct("pz", n) - sigma_direct("wz", n))
 
 
@@ -218,7 +231,8 @@ G1_ABOVE = "G1_above"
 G2_ABOVE = "G2_above"
 EQUAL = "equal"
 
-_CODE_NAMES = {1: G1_ABOVE, -1: G2_ABOVE, 0: EQUAL}
+# pattern names indexed by sign code: 0 equal, 1 G1 above, -1 (the last) G2 above
+_CODE_NAMES = np.array([EQUAL, G1_ABOVE, G2_ABOVE], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -235,11 +249,9 @@ class DistanceReport:
     matches_proof: bool | None
 
     def to_json(self) -> str:
-        diffs = ",".join(f"{d:.17g}" for d in self.diffs)
-        pattern = ",".join(f'"{p}"' for p in self.pattern)
-        return (
-            f'{{"pair": "{self.pair}", "n": {self.n}, "sigma": {self.sigma:.17g}, '
-            f'"diffs": [{diffs}], "pattern": [{pattern}]}}'
+        return json.dumps(
+            {"pair": self.pair, "n": self.n, "sigma": self.sigma,
+             "diffs": self.diffs, "pattern": self.pattern}
         )
 
 
@@ -247,16 +259,15 @@ def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
     """Sign pattern of lambda_k(G1) - lambda_k(G2) asserted by the case
     analysis: +1 G1 above, -1 G2 above, 0 equal.  Lower half mirrors the
     upper half with flipped sign (bipartite symmetry)."""
-    _check_pair_order(pair, n)
+    check_pair_order(pair, n)
     codes = np.zeros(n, dtype=np.int8)
 
     if pair == "cz":
         half = n // 2
-        idx = np.arange(1, n + 1)
-        codes[:] = np.where(idx % 2 == 1, 1, -1)
+        codes[0::2] = 1
+        codes[1::2] = -1
         if half % 2 == 0:
-            codes[half - 1] = 0
-            codes[half] = 0
+            codes[half - 1 : half + 1] = 0
         return codes
 
     if pair not in ("pz", "wz"):
@@ -264,14 +275,12 @@ def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
 
     first = -1 if pair == "pz" else 1  # pz: Z (G2) dominates low indices
     k1_hi, k2_lo, k2_hi, equal_ks = _residue_bounds(pair, n)
-    for k in range(1, k1_hi + 1):
-        codes[k - 1] = first
-    for k in range(k2_lo, k2_hi + 1):
-        codes[k - 1] = -first
+    codes[:k1_hi] = first
+    codes[k2_lo - 1 : k2_hi] = -first
     for k in equal_ks:
         codes[k - 1] = 0
-    for j in range(n // 2):
-        codes[n - 1 - j] = -codes[j]
+    half = n // 2
+    codes[n - half :] = -codes[:half][::-1]
     return codes
 
 
@@ -290,8 +299,8 @@ def distance_report(pair: str, n: int) -> DistanceReport:
         pair=pair,
         n=n,
         sigma=float(np.sum(np.abs(diffs))),
-        diffs=tuple(float(d) for d in diffs),
-        pattern=tuple(_CODE_NAMES[int(c)] for c in observed),
+        diffs=tuple(diffs.tolist()),
+        pattern=tuple(_CODE_NAMES[observed].tolist()),
         matches_proof=verdict,
     )
 
@@ -299,10 +308,10 @@ def distance_report(pair: str, n: int) -> DistanceReport:
 def first_pattern_mismatch(report: DistanceReport) -> int | None:
     """1-based index of the first entry where the observed pattern departs
     from the asserted one, or None when they agree."""
-    expected = expected_pattern_codes(report.pair, report.n)
-    for i, code in enumerate(expected):
-        if report.pattern[i] != _CODE_NAMES[int(code)]:
-            return i + 1
+    expected = _CODE_NAMES[expected_pattern_codes(report.pair, report.n)].tolist()
+    for i, (seen, asserted) in enumerate(zip(report.pattern, expected), 1):
+        if seen != asserted:
+            return i
     return None
 
 

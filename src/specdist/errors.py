@@ -22,7 +22,8 @@ class ConvergenceError(RuntimeError):
 
 
 class ResidueMismatchError(ValueError):
-    """A scan order does not lie in the requested residue class."""
+    """An order outside the class a pair or scan takes: odd for cz, or not
+    the requested residue mod 4."""
 
 
 class InsufficientSamplesError(ValueError):

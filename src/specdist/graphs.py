@@ -42,6 +42,23 @@ _FAMILY_LABEL = {
 }
 
 
+def check_family_order(family, n: int) -> Family:
+    """Raise unless n is a valid order of the family (OrderTooSmallError below
+    MIN_ORDER, OrderTooLargeError above MAX_ORDER); return it as a Family."""
+    family = Family(family)
+    minimum = MIN_ORDER[family]
+    if n < minimum:
+        raise OrderTooSmallError(f"{_FAMILY_LABEL[family]} requires n >= {minimum}")
+    if n > MAX_ORDER:
+        raise OrderTooLargeError(f"{_FAMILY_LABEL[family]} requires n <= {MAX_ORDER}")
+    return family
+
+
+def family_orders(family, lo: int, hi: int) -> range:
+    """The valid orders of the family in lo..hi, ascending."""
+    return range(max(lo, MIN_ORDER[Family(family)]), hi + 1)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A graph family together with its order."""
@@ -50,17 +67,7 @@ class FamilySpec:
     n: int
 
     def __post_init__(self):
-        family = Family(self.family)
-        object.__setattr__(self, "family", family)
-        minimum = MIN_ORDER[family]
-        if self.n < minimum:
-            raise OrderTooSmallError(
-                f"{_FAMILY_LABEL[family]} requires n >= {minimum}"
-            )
-        if self.n > MAX_ORDER:
-            raise OrderTooLargeError(
-                f"{_FAMILY_LABEL[family]} requires n <= {MAX_ORDER}"
-            )
+        object.__setattr__(self, "family", check_family_order(self.family, self.n))
 
 
 @dataclass(frozen=True)
@@ -88,15 +95,13 @@ class Graph:
 
 def build_path(n: int) -> Graph:
     """Path P_n on vertices 0..n-1 in order."""
-    if n < 1:
-        raise OrderTooSmallError("P requires n >= 1")
+    check_family_order(Family.PATH, n)
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def build_cycle(n: int) -> Graph:
     """Cycle C_n: the path edges plus the closing edge {n-1, 0}."""
-    if n < 3:
-        raise OrderTooSmallError("C requires n >= 3")
+    check_family_order(Family.CYCLE, n)
     edges = set((i, i + 1) for i in range(n - 1))
     edges.add((0, n - 1))
     return Graph(n, frozenset(edges))
@@ -130,8 +135,7 @@ def build_z(n: int) -> Graph:
 
     Vertices 0..n-3 form the spine; pendants n-2 and n-1 attach to n-3.
     """
-    if n < 4:
-        raise OrderTooSmallError("Z requires n >= 4")
+    check_family_order(Family.Z_TREE, n)
     edges = set((i, i + 1) for i in range(n - 3))
     edges.add((n - 3, n - 2))
     edges.add((n - 3, n - 1))
@@ -140,8 +144,7 @@ def build_z(n: int) -> Graph:
 
 def build_z_coalesced(n: int) -> Graph:
     """Z_n as the coalescence of an end of P_{n-2} with the center of P_3."""
-    if n < 4:
-        raise OrderTooSmallError("Z requires n >= 4")
+    check_family_order(Family.Z_TREE, n)
     return coalesce(build_path(n - 2), n - 3, build_path(3), 1)
 
 
@@ -152,8 +155,7 @@ def build_w(n: int) -> Graph:
     pendants n-2, n-1 attach to vertex n-5.  Built structurally because the
     coalescence route degenerates at n=6.
     """
-    if n < 6:
-        raise OrderTooSmallError("W requires n >= 6")
+    check_family_order(Family.W_TREE, n)
     edges = set((i, i + 1) for i in range(n - 5))
     edges.add((0, n - 4))
     edges.add((0, n - 3))

@@ -9,15 +9,18 @@ extrapolation on an approximately doubling grid.
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import dataclass
 
-from .distance import pair_min_order, sigma_closed, PAIRS
-from .errors import (
-    InsufficientSamplesError,
-    OrderTooSmallError,
-    ResidueMismatchError,
+from .distance import (
+    MAX_CLOSED_ORDER,
+    check_pair_order,
+    pair_min_order,
+    pair_orders,
+    sigma_closed,
 )
+from .errors import InsufficientSamplesError, OrderTooSmallError
 
 # (8 - 8*sqrt(2) + 2*pi) / pi, the shared limit of the pz and wz sequences.
 L_STAR = (8.0 - 8.0 * math.sqrt(2.0) + 2.0 * math.pi) / math.pi
@@ -34,8 +37,7 @@ _DOUBLING_WINDOW = (1.7, 2.3)
 
 def target_constant(pair: str) -> float:
     """The proven limit of the pair's sigma sequence."""
-    if pair not in _TARGETS:
-        raise ValueError(f"unknown pair {pair!r}")
+    pair_min_order(pair)  # ValueError for an unknown pair
     return _TARGETS[pair]
 
 
@@ -72,37 +74,29 @@ def richardson_extrapolate(samples) -> float:
     return v2
 
 
-def _min_order(pair: str, residue) -> int:
-    base = pair_min_order(pair)
+def _scan_residue(pair: str, residue):
+    """The residue class a scan of the pair follows: None for cz, whose scans
+    take every even order, else residue, which must be 0..3."""
     if pair == "cz":
-        return base
-    n = base
-    while n % 4 != residue:
-        n += 1
-    return n
+        return None
+    if residue not in (0, 1, 2, 3):
+        raise ValueError(f"residue must be 0..3, got {residue!r}")
+    return residue
 
 
 def default_grid(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> list[int]:
-    """Approximately doubling grid staying inside the residue class.
+    """Approximately doubling grid staying inside the residue class: each
+    order is the smallest valid one at least twice the previous.
 
     For cz the grid is exact doubling over even orders; residue is ignored.
     """
-    if pair not in PAIRS:
-        raise ValueError(f"unknown pair {pair!r}")
-    if pair != "cz":
-        if residue not in (0, 1, 2, 3):
-            raise ValueError(f"residue must be 0..3, got {residue!r}")
-    start = _min_order(pair, residue)
+    residue = _scan_residue(pair, residue)
+    start = pair_orders(pair, 0, MAX_CLOSED_ORDER, residue)[0]  # whatever n_max
     if start > n_max:
         raise ValueError(f"n_max {n_max} below the smallest valid order {start}")
     grid = [start]
-    while True:
-        nxt = 2 * grid[-1]
-        if pair != "cz":
-            nxt += (residue - nxt) % 4
-        if nxt > n_max:
-            break
-        grid.append(nxt)
+    while orders := pair_orders(pair, 2 * grid[-1], n_max, residue):
+        grid.append(orders[0])
     return grid
 
 
@@ -118,13 +112,7 @@ class LimitEstimate:
     abs_error: float
 
     def to_json(self) -> str:
-        residue = "null" if self.residue is None else str(self.residue)
-        samples = ",".join(f"[{n},{v:.17g}]" for n, v in self.samples)
-        return (
-            f'{{"pair": "{self.pair}", "residue": {residue}, '
-            f'"samples": [{samples}], "extrapolated": {self.extrapolated:.17g}, '
-            f'"target": {self.target:.17g}, "abs_error": {self.abs_error:.17g}}}'
-        )
+        return json.dumps(vars(self))
 
     def to_csv(self) -> str:
         """Scan CSV: pair,residue,n,sigma,target,abs_error per sample row."""
@@ -147,27 +135,15 @@ def sequence_scan(
 ) -> LimitEstimate:
     """Evaluate the closed-form sigma along a residue-class grid and
     extrapolate the limit.  residue is required for pz/wz/pw, ignored for cz."""
-    if pair not in PAIRS:
-        raise ValueError(f"unknown pair {pair!r}")
-    if pair == "cz":
-        residue = None
+    residue = _scan_residue(pair, residue)
     if n_values is None:
         n_values = default_grid(pair, residue, n_max)
     else:
         n_values = list(n_values)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        minimum = pair_min_order(pair)
         for n in n_values:
-            if n < minimum:
-                raise OrderTooSmallError(f"pair {pair} requires n >= {minimum}")
-            if pair == "cz":
-                if n % 2 != 0:
-                    raise ResidueMismatchError(f"pair cz requires even n, got {n}")
-            elif n % 4 != residue:
-                raise ResidueMismatchError(
-                    f"n={n} is not {residue} (mod 4)"
-                )
+            check_pair_order(pair, n, residue)
     samples = tuple((n, sigma_closed(pair, n)) for n in n_values)
     extrapolated = richardson_extrapolate(samples)
     target = target_constant(pair)

@@ -3,8 +3,21 @@ import math
 
 import pytest
 
-from specdist import build_path, cli, distance, to_edge_list_text
+from specdist import (
+    FamilySpec,
+    adjacency_matrix,
+    build_family,
+    build_path,
+    cli,
+    closed_spectrum,
+    distance,
+    numeric_spectrum,
+    spectrum_deviation,
+    to_edge_list_text,
+)
 from specdist.cli import main
+from specdist.distance import pair_min_order
+from specdist.graphs import MIN_ORDER
 
 
 def run(capsys, *argv):
@@ -136,18 +149,66 @@ class TestVerify:
         assert code == 0 and out.startswith("PASS interlacing pz: 197 orders")
 
     def test_additivity(self, capsys):
-        code, out, _ = run(capsys, "verify", "--check", "additivity", "--n", "6..120")
-        assert code == 0 and "max residual" in out
+        orders = range(pair_min_order("pw"), 121)
+        worst = max(distance.check_additivity(n) for n in orders)
+        code, out, _ = run(capsys, "verify", "--check", "additivity", "--n", "1..120")
+        assert code == 0
+        assert out == (
+            f"PASS additivity: {len(orders)} orders checked, max residual {worst:.3g}\n"
+        )
 
     def test_oracle(self, capsys):
-        code, out, _ = run(capsys, "verify", "--check", "oracle", "--n", "4..40")
-        assert code == 0 and "max deviation" in out
+        deviations = []
+        for family, minimum in MIN_ORDER.items():
+            for n in range(minimum, 41):
+                spec = FamilySpec(family, n)
+                numeric = numeric_spectrum(adjacency_matrix(build_family(spec)))
+                deviations.append(spectrum_deviation(closed_spectrum(spec), numeric))
+        code, out, _ = run(capsys, "verify", "--check", "oracle", "--n", "1..40")
+        assert code == 0
+        assert out == (
+            f"PASS oracle: {len(deviations)} spectra checked, "
+            f"max deviation {max(deviations):.3g}\n"
+        )
 
     def test_bipartite_symmetry(self, capsys):
+        asymmetries = []
+        for family, minimum in MIN_ORDER.items():
+            for n in range(minimum, 81):
+                if family == "c" and n % 2 != 0:
+                    continue  # odd cycles are not bipartite
+                values = closed_spectrum(FamilySpec(family, n))
+                asymmetries.append(float(max(abs(values + values[::-1]))))
         code, out, _ = run(
-            capsys, "verify", "--check", "bipartite-symmetry", "--n", "4..80"
+            capsys, "verify", "--check", "bipartite-symmetry", "--n", "1..80"
         )
         assert code == 0
+        assert out == (
+            f"PASS bipartite-symmetry: {len(asymmetries)} spectra checked, "
+            f"max asymmetry {max(asymmetries):.3g}\n"
+        )
+
+    def test_additivity_failure_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ADDITIVITY_TOL", 0.0)
+        code, out, _ = run(capsys, "verify", "--check", "additivity", "--n", "1..60")
+        residual = distance.check_additivity(6)
+        assert code == 1 and out == f"FAIL additivity: n=6 residual={residual:.3g}\n"
+
+    def test_interlacing_failure_line(self, capsys, monkeypatch):
+        asserted = distance.expected_pattern_codes
+
+        def flipped_from_10(pair, n):
+            codes = asserted(pair, n)
+            if n >= 10:
+                codes[2] = -codes[2]
+            return codes
+
+        monkeypatch.setattr(distance, "expected_pattern_codes", flipped_from_10)
+        for pair in ("pz", "wz", "cz"):
+            code, out, _ = run(
+                capsys, "verify", "--check", "interlacing", "--pair", pair, "--n", "1..60"
+            )
+            assert code == 1 and out == f"FAIL interlacing {pair}: n=10 index=3\n"
 
     @pytest.mark.parametrize(
         "check,tol", [("oracle", "ORACLE_TOL"), ("bipartite-symmetry", "SYMMETRY_TOL")]
@@ -210,11 +271,12 @@ class TestScan:
         assert "FAIL scan" in out
 
     def test_order_too_large_exit_2(self, capsys):
-        code, out, err = run(
-            capsys, "scan", "--pair", "pz", "--residue", "1", "--n-max", str(10**170)
-        )
-        assert code == 2 and out == ""
-        assert err == "error: pair pz requires n <= 1e+150\n"
+        for pair in ("pz", "pw"):
+            code, out, err = run(
+                capsys, "scan", "--pair", pair, "--residue", "1", "--n-max", str(10**170)
+            )
+            assert code == 2 and out == ""
+            assert err == f"error: pair {pair} requires n <= 1e+150\n"
 
     def test_missing_residue_exit_2(self, capsys):
         code, _, err = run(capsys, "scan", "--pair", "pw", "--n-max", "1000")

@@ -100,6 +100,8 @@ class TestGrid:
     def test_missing_residue_rejected(self):
         with pytest.raises(ValueError):
             default_grid("pz", residue=None)
+        with pytest.raises(ValueError, match=r"^residue must be 0\.\.3, got None$"):
+            sequence_scan("pz", residue=None, n_values=[5, 9, 13])
 
 
 class TestSequenceScan:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure or scan tolerance exceeded,
 2 invalid arguments or graph order, 3 internal inconsistency between the
-direct and closed sigma paths.  The SPECTRA_TOL environment variable
+direct and closed sigma paths, 4 the Jacobi eigensolver exhausted its sweep
+budget without converging.  The SPECTRA_TOL environment variable
 overrides the scan acceptance tolerance.
 """
 
@@ -14,7 +15,12 @@ import sys
 import numpy as np
 
 from . import distance, graphs, limits, spectra
-from .errors import OrderTooLargeError, OrderTooSmallError, ResidueMismatchError
+from .errors import (
+    ConvergenceError,
+    OrderTooLargeError,
+    OrderTooSmallError,
+    ResidueMismatchError,
+)
 from .graphs import Family, FamilySpec
 
 CONSISTENCY_TOL = 1e-9
@@ -290,6 +296,9 @@ def main(argv=None):
     except MemoryError as exc:  # an order too large for this machine's memory
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Dense symmetric eigensolver built on cyclic Jacobi sweeps.
 
-The compiled C kernel (``_jacobi.c``) is preferred; a pure numpy
-implementation with identical semantics is selected when the extension is
-unavailable or when SPECTRA_NO_EXT=1 is set.  Convergence: off-diagonal Frobenius norm below
-1e-12 * n, within a budget of 100 sweeps.
+The compiled C kernel (``_jacobi.c``) is preferred.  A pure numpy fallback
+(``_jacobi_py.py``) is selected when the extension is unavailable or when
+SPECTRA_NO_EXT=1 is set; it uses the kernel's per-rotation formulas, skip
+threshold and convergence test, but the round-robin rotation ordering, so
+the two agree to rounding, not bitwise.  Convergence: off-diagonal Frobenius
+norm below 1e-12 * n, within a budget of SWEEP_BUDGET (100) sweeps.
 """
 
 import os
@@ -35,12 +37,15 @@ def available_backends():
     return backends
 
 
-def symmetric_eigenvalues(m, max_sweeps=SWEEP_BUDGET, backend=None):
+def symmetric_eigenvalues(m, max_sweeps=None, backend=None):
     """Eigenvalues of an exactly symmetric matrix, unsorted.
 
-    Raises NonSymmetricMatrixError for asymmetric input and ConvergenceError
-    if the sweep budget is exhausted.
+    max_sweeps defaults to SWEEP_BUDGET, read at call time.  Raises
+    NonSymmetricMatrixError for asymmetric input and ConvergenceError if the
+    sweep budget is exhausted.
     """
+    if max_sweeps is None:
+        max_sweeps = SWEEP_BUDGET
     a = np.array(m, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricMatrixError(f"expected a square matrix, got shape {a.shape}")

@@ -11,6 +11,7 @@ from specdist import (
     cli,
     closed_spectrum,
     distance,
+    eigensolver,
     numeric_spectrum,
     spectrum_deviation,
     to_edge_list_text,
@@ -85,6 +86,14 @@ class TestSpectrum:
             code, out, err = run(capsys, "spectrum", "--graph-file", str(graph_file))
             assert code == 2 and out == ""
             assert err == f"error: {graph_file}: {reason}\n"
+
+    def test_sweep_budget_exhausted_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(eigensolver, "SWEEP_BUDGET", 1)
+        code, out, err = run(
+            capsys, "spectrum", "--family", "p", "--n", "30", "--source", "numeric"
+        )
+        assert code == 4 and out == ""
+        assert err == "error: off-diagonal norm still above 3e-11 after 1 sweeps\n"
 
 
 class TestDist:

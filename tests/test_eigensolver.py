@@ -1,13 +1,45 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from specdist import FamilySpec, adjacency_matrix, build_family
+from specdist import (
+    FamilySpec,
+    _jacobi_py,
+    adjacency_matrix,
+    build_family,
+    closed_spectrum,
+    eigensolver,
+    spectrum_deviation,
+)
 from specdist.eigensolver import available_backends, symmetric_eigenvalues
 from specdist.errors import ConvergenceError, NonSymmetricMatrixError
+from specdist.graphs import MIN_ORDER
 
 BACKENDS = available_backends()
+
+
+def _random_connected_adjacency(rng, n, extra):
+    """Adjacency matrix of a randomly labelled random tree on n vertices plus
+    up to ``extra`` more edges, as the benchmark builds its random graphs."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    m = np.zeros((n, n))
+    for v in range(1, n):
+        a, b = labels[rng.randrange(v)], labels[v]
+        m[a, b] = m[b, a] = 1.0
+    for _ in range(min(extra, n * (n - 1) // 2 - (n - 1))):
+        a, b = rng.choice(np.argwhere(np.triu(m == 0, 1)).tolist())
+        m[a, b] = m[b, a] = 1.0
+    return m
+
+
+def _family_matrices(lo, hi):
+    for fam, low in MIN_ORDER.items():
+        for n in range(max(lo, low), hi + 1):
+            spec = FamilySpec(fam, n)
+            yield spec, adjacency_matrix(build_family(spec))
 
 
 def test_compiled_kernel_is_available():
@@ -55,19 +87,57 @@ class TestJacobi:
         with pytest.raises(NonSymmetricMatrixError):
             symmetric_eigenvalues(np.zeros((2, 3)), backend=backend)
 
-    def test_sweep_budget_exhaustion(self, backend):
+    def test_sweep_budget_exhaustion(self, backend, monkeypatch):
         m = adjacency_matrix(build_family(FamilySpec("p", 30)))
         with pytest.raises(ConvergenceError):
             symmetric_eigenvalues(m, max_sweeps=1, backend=backend)
+        # the default budget is read when the solver is called
+        monkeypatch.setattr(eigensolver, "SWEEP_BUDGET", 1)
+        with pytest.raises(ConvergenceError):
+            symmetric_eigenvalues(m, backend=backend)
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel unavailable")
 def test_backends_agree():
-    for fam, n in [("p", 25), ("c", 24), ("z", 25), ("w", 25)]:
-        m = adjacency_matrix(build_family(FamilySpec(fam, n)))
+    # odd orders leave one index idle per round of the fallback's ordering
+    families = [
+        ("p", 25), ("c", 24), ("z", 25), ("w", 25),
+        ("p", 2), ("p", 3), ("c", 3), ("c", 31), ("z", 31), ("w", 33), ("z", 40),
+    ]
+    matrices = [adjacency_matrix(build_family(FamilySpec(f, n))) for f, n in families]
+    rng = random.Random(7)
+    matrices += [_random_connected_adjacency(rng, 29, 20), _random_connected_adjacency(rng, 32, 45)]
+    for m in matrices:
         compiled = np.sort(symmetric_eigenvalues(m, backend="compiled"))
         pure = np.sort(symmetric_eigenvalues(m, backend="pure"))
         assert np.max(np.abs(compiled - pure)) < 1e-10
+
+
+def test_pure_sweeps_keep_matrix_exactly_symmetric():
+    # the fallback rotates P∪Q × P∪Q twice per round; both sides must agree
+    rng = random.Random(11)
+    matrices = [m for _, m in _family_matrices(2, 40)]
+    matrices += [_random_connected_adjacency(rng, n, rng.randrange(2 * n)) for n in range(2, 41)]
+    for m in matrices:
+        n = m.shape[0]
+        a = np.array(m, dtype=np.float64)
+        converged, _ = _jacobi_py.jacobi_sweeps(
+            a, eigensolver.SWEEP_BUDGET, eigensolver.TOL_PER_DIM * n
+        )
+        assert converged
+        assert np.array_equal(a, a.T), f"n={n}"
+
+
+def test_pure_backend_matches_closed_spectra():
+    # criterion 4's bounds, on the fallback, for every family at n <= 60
+    worst_dev = worst_trace = worst_sumsq = 0.0
+    for spec, m in _family_matrices(1, 60):
+        numeric = np.sort(symmetric_eigenvalues(m, backend="pure"))[::-1]
+        worst_dev = max(worst_dev, spectrum_deviation(closed_spectrum(spec), numeric))
+        worst_trace = max(worst_trace, abs(float(np.sum(numeric))))
+        # the sum of squares is the adjacency matrix's sum, twice the edge count
+        worst_sumsq = max(worst_sumsq, abs(float(np.sum(numeric**2)) - float(np.sum(m))))
+    assert worst_dev < 1e-8 and worst_trace < 1e-8 and worst_sumsq < 1e-8
 
 
 def _read_only(m):

@@ -5,13 +5,10 @@ from .distance import (
     check_additivity,
     crossover_index,
     distance_report,
-    interlace_pattern,
+    pattern_mismatch,
     pattern_sigma,
     sigma,
     sigma_closed,
-    sigma_closed_cz,
-    sigma_closed_pz,
-    sigma_closed_wz,
     sigma_direct,
 )
 from .eigensolver import ACTIVE_BACKEND, available_backends, symmetric_eigenvalues

@@ -106,27 +106,27 @@ def run_spectrum(args):
 
 
 def run_dist(args):
-    report = distance.distance_report(args.pair, args.n)
-    direct = report.sigma
+    # only the JSON output needs the per-index report
+    report = distance.distance_report(args.pair, args.n) if args.format == "json" else None
     lines = []
     status = 0
+    if args.mode in ("direct", "both"):
+        direct = report.sigma if report else distance.sigma_direct(args.pair, args.n)
+        lines.append(f"sigma_direct {direct:.17g}")
     if args.mode in ("closed", "both"):
         closed = distance.sigma_closed(args.pair, args.n)
+        lines.append(f"sigma_closed {closed:.17g}")
     if args.mode == "both":
         residual = abs(direct - closed)
+        lines.append(f"residual {residual:.17g}")
         if residual > CONSISTENCY_TOL:
             status = 3
-    if args.format == "json":
+    if report:
         _emit(report.to_json() + "\n", args.out)
     else:
-        if args.mode in ("direct", "both"):
-            lines.append(f"sigma_direct {direct:.17g}")
-        if args.mode in ("closed", "both"):
-            lines.append(f"sigma_closed {closed:.17g}")
-        if args.mode == "both":
-            lines.append(f"residual {residual:.17g}")
-        if report.matches_proof is not None:
-            lines.append(f"pattern_matches_proof {report.matches_proof}")
+        if args.pair != "pw":
+            holds = distance.pattern_mismatch(args.pair, args.n) is None
+            lines.append(f"pattern_matches_proof {holds}")
         _emit("\n".join(lines) + "\n", args.out)
     if status == 3:
         print(
@@ -184,9 +184,8 @@ def _verify_interlacing(args):
         return 2
     orders = distance.pair_orders(args.pair, *args.n)
     for n in orders:
-        report = distance.interlace_pattern(args.pair, n)
-        if not report.matches_proof:
-            index = distance.first_pattern_mismatch(report)
+        index = distance.pattern_mismatch(args.pair, n)
+        if index is not None:
             print(f"FAIL interlacing {args.pair}: n={n} index={index}")
             return 1
     if not orders:

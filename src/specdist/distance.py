@@ -20,11 +20,9 @@ from .errors import (
     ResidueMismatchError,
 )
 from .graphs import MIN_ORDER, Family, FamilySpec
-from .spectra import closed_spectrum
+from .spectra import closed_angles, closed_spectrum
 
 PAIRS = ("pz", "wz", "pw", "cz")
-
-EQUALITY_TOL = 1e-12
 
 _PAIR_FAMILIES = {
     "pz": (Family.PATH, Family.Z_TREE),
@@ -207,21 +205,6 @@ def sigma_closed(pair: str, n: int) -> float:
     return 4.0 - 2.0 / math.cos(x) + 2.0 * sign * math.tan(x)
 
 
-def sigma_closed_pz(n: int) -> float:
-    """sigma(P_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
-    return sigma_closed("pz", n)
-
-
-def sigma_closed_wz(n: int) -> float:
-    """sigma(W_n, Z_n) from the per-residue-class cosine sums, in O(1)."""
-    return sigma_closed("wz", n)
-
-
-def sigma_closed_cz(half_order: int) -> float:
-    """sigma(C_{2m}, Z_{2m}) for m = half_order, in O(1)."""
-    return sigma_closed("cz", 2 * half_order)
-
-
 def check_additivity(n: int) -> float:
     """Residual |sigma(P,W) - sigma(P,Z) - sigma(W,Z)| from closed spectra."""
     return abs(sigma_direct("pw", n) - sigma_direct("pz", n) - sigma_direct("wz", n))
@@ -244,9 +227,6 @@ class DistanceReport:
     sigma: float
     diffs: tuple[float, ...]
     pattern: tuple[str, ...]
-    # verdict against the asserted per-residue pattern; None when no pattern
-    # is asserted for the pair (pw)
-    matches_proof: bool | None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -284,43 +264,38 @@ def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
     return codes
 
 
+def observed_pattern_codes(pair: str, n: int) -> np.ndarray:
+    """Exact sign of lambda_k(G1) - lambda_k(G2), coded as in
+    expected_pattern_codes.  Each eigenvalue is 2 cos(pi num/den), which falls
+    as num/den rises, so the sign is that of the int64 cross-product
+    num2 den1 - num1 den2; no tolerance enters."""
+    check_pair_order(pair, n)
+    (num1, den1), (num2, den2) = (
+        closed_angles(FamilySpec(f, n)) for f in _PAIR_FAMILIES[pair]
+    )
+    return np.sign(num2 * den1 - num1 * den2).astype(np.int8)
+
+
+def pattern_mismatch(pair: str, n: int) -> int | None:
+    """1-based index of the first k where the observed sign pattern departs
+    from the asserted one, or None when the proof's pattern holds at order n
+    (pairs pz, wz and cz; ValueError for pw, which has no asserted pattern)."""
+    observed = observed_pattern_codes(pair, n)
+    bad = np.flatnonzero(observed != expected_pattern_codes(pair, n))
+    return int(bad[0]) + 1 if bad.size else None
+
+
 def distance_report(pair: str, n: int) -> DistanceReport:
     """Per-index diffs and observed sign pattern for any pair at order n."""
     s1, s2 = pair_spectra(pair, n)
     diffs = s1 - s2
-    observed = np.where(
-        np.abs(diffs) < EQUALITY_TOL, 0, np.where(diffs > 0, 1, -1)
-    ).astype(np.int8)
-    if pair == "pw":
-        verdict = None
-    else:
-        verdict = bool(np.array_equal(observed, expected_pattern_codes(pair, n)))
     return DistanceReport(
         pair=pair,
         n=n,
         sigma=float(np.sum(np.abs(diffs))),
         diffs=tuple(diffs.tolist()),
-        pattern=tuple(_CODE_NAMES[observed].tolist()),
-        matches_proof=verdict,
+        pattern=tuple(_CODE_NAMES[observed_pattern_codes(pair, n)].tolist()),
     )
-
-
-def first_pattern_mismatch(report: DistanceReport) -> int | None:
-    """1-based index of the first entry where the observed pattern departs
-    from the asserted one, or None when they agree."""
-    expected = _CODE_NAMES[expected_pattern_codes(report.pair, report.n)].tolist()
-    for i, (seen, asserted) in enumerate(zip(report.pattern, expected), 1):
-        if seen != asserted:
-            return i
-    return None
-
-
-def interlace_pattern(pair: str, n: int) -> DistanceReport:
-    """Observed sign pattern at order n, with a verdict against the
-    asserted per-residue pattern (pairs pz, wz and cz only)."""
-    if pair == "pw":
-        raise ValueError("no asserted interlacing pattern for pair pw")
-    return distance_report(pair, n)
 
 
 def pattern_sigma(report: DistanceReport) -> float:

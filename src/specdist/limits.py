@@ -29,8 +29,8 @@ _TARGETS = {"pz": L_STAR, "wz": L_STAR, "pw": 2.0 * L_STAR, "cz": 2.0}
 
 DEFAULT_N_MAX = 100_000
 
-# Extrapolation treats the last two samples as an n-doubling step when their
-# ratio is within this window of 2 (residue-preserving grids only double
+# Extrapolation needs the last two samples to be an n-doubling step: their
+# ratio within this window of 2 (residue-preserving grids only double
 # approximately).
 _DOUBLING_WINDOW = (1.7, 2.3)
 
@@ -41,25 +41,22 @@ def target_constant(pair: str) -> float:
     return _TARGETS[pair]
 
 
-def alternating_sum(n: int, compensated: bool = False) -> float:
+def alternating_sum(n: int) -> float:
     """sum_{k=1}^{n-1} (-1)^k cos((2k-1) pi / (4n-2)); tends to -1/2."""
     if n < 2:
         raise OrderTooSmallError("alternating sum requires n >= 2")
-    terms = (
+    return sum(
         ((-1.0) ** k) * math.cos((2 * k - 1) * math.pi / (4 * n - 2))
         for k in range(1, n)
     )
-    if compensated:
-        return math.fsum(terms)
-    return sum(terms)
 
 
 def richardson_extrapolate(samples) -> float:
     """First-order Richardson step on the last doubling pair.
 
     Assumes error ~ c/n: from (n, v_n) and (2n, v_2n) the extrapolant is
-    2*v_2n - v_n.  Falls back to the last value when the final spacing is
-    not approximately 2x.
+    2*v_2n - v_n.  Raises ValueError when the final spacing is not
+    approximately 2x, where this step does not extrapolate.
     """
     samples = list(samples)
     if len(samples) < 3:
@@ -68,10 +65,10 @@ def richardson_extrapolate(samples) -> float:
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("sample orders must be strictly increasing")
     (n1, v1), (n2, v2) = samples[-2], samples[-1]
-    ratio = n2 / n1
-    if _DOUBLING_WINDOW[0] <= ratio <= _DOUBLING_WINDOW[1]:
-        return 2.0 * v2 - v1
-    return v2
+    lo, hi = _DOUBLING_WINDOW
+    if not lo <= n2 / n1 <= hi:
+        raise ValueError(f"last step {n1} -> {n2} is not a doubling ({lo}..{hi} times)")
+    return 2.0 * v2 - v1
 
 
 def _scan_residue(pair: str, residue):

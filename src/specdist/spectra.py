@@ -9,9 +9,13 @@ import math
 
 import numpy as np
 
-from .errors import LengthMismatchError, OrderTooSmallError
+from .errors import LengthMismatchError, OrderTooLargeError
 from .eigensolver import symmetric_eigenvalues
 from .graphs import Family, FamilySpec
+
+# Largest order whose angle cross-products stay exact in int64: numerators
+# and denominators are below 2n, so every product is below 4n^2 <= 2^63 - 1.
+MAX_ANGLE_ORDER = math.isqrt((2**63 - 1) // 4)
 
 
 def path_eigenvalues(n):
@@ -55,6 +59,31 @@ def closed_spectrum(spec: FamilySpec) -> np.ndarray:
         raise TypeError("closed_spectrum expects a FamilySpec")
     values = _CLOSED_FORMS[spec.family](spec.n)
     return np.sort(values)[::-1].copy()
+
+
+def closed_angles(spec: FamilySpec):
+    """The closed spectrum as exact angles (nums, den): ascending int64
+    numerators over one denominator, with lambda_k = 2 cos(pi nums[k-1] / den),
+    so index k matches closed_spectrum's descending order.
+
+    Raises OrderTooLargeError above MAX_ANGLE_ORDER, before allocating.
+    """
+    n = spec.n
+    if n > MAX_ANGLE_ORDER:
+        raise OrderTooLargeError(f"exact angles require n <= {MAX_ANGLE_ORDER}")
+    if spec.family is Family.PATH:
+        return np.arange(1, n + 1, dtype=np.int64), n + 1
+    if spec.family is Family.CYCLE:
+        # 2k/n folded into [0, 1]: 0 once, 2k/n twice for 0 < 2k < n, 1 at even n
+        return np.repeat(np.arange(0, n + 1, 2, dtype=np.int64), 2)[1 : n + 1], n
+    if spec.family is Family.Z_TREE:
+        # 1/2 together with (2k-1)/(2n-2), k = 1..n-1
+        odd = np.arange(1, 2 * n - 2, 2, dtype=np.int64)
+        return np.sort(np.append(odd, n - 1)), 2 * n - 2
+    # w: 0, 1/2, 1/2, 1 together with k/(n-3) = 2k/(2n-6), k = 1..n-4
+    d = 2 * n - 6
+    even = np.arange(2, d, 2, dtype=np.int64)
+    return np.sort(np.concatenate(([0, n - 3, n - 3, d], even))), d
 
 
 def numeric_spectrum(m) -> np.ndarray:

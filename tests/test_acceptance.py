@@ -16,12 +16,10 @@ from specdist import (
     build_family,
     check_additivity,
     closed_spectrum,
-    interlace_pattern,
     numeric_spectrum,
+    pattern_mismatch,
     sequence_scan,
     sigma_closed,
-    sigma_closed_cz,
-    sigma_closed_pz,
     sigma_direct,
     spectrum_deviation,
     alternating_sum,
@@ -37,7 +35,7 @@ def _report(name, ok, detail):
 
 def test_criterion_1_cz_limit():
     t0 = time.perf_counter()
-    value = sigma_closed_cz(100_000)  # order 2n = 2e5
+    value = sigma_closed("cz", 200_000)
     estimate = sequence_scan("cz", n_max=200_000)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -120,12 +118,12 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_interlacing_suites():
     failures = []
     for n in range(4, 2001):
-        if not interlace_pattern("pz", n).matches_proof:
+        if pattern_mismatch("pz", n) is not None:
             failures.append(("pz", n))
-        if n >= 6 and not interlace_pattern("wz", n).matches_proof:
+        if n >= 6 and pattern_mismatch("wz", n) is not None:
             failures.append(("wz", n))
     for n in range(4, 2001, 2):  # orders of C/Z, half-order 2..1000
-        if not interlace_pattern("cz", n).matches_proof:
+        if pattern_mismatch("cz", n) is not None:
             failures.append(("cz", n))
     _report(
         "criterion 5 (interlacing suites)",
@@ -170,7 +168,7 @@ def test_criterion_8_exact_spot_values():
         abs(sigma_direct("cz", 4) - expected_cz),
         abs(sigma_closed("cz", 4) - expected_cz),
         abs(sigma_direct("pz", 4) - expected_pz),
-        abs(sigma_closed_pz(4) - expected_pz),
+        abs(sigma_closed("pz", 4) - expected_pz),
     ]
     _report(
         "criterion 8 (exact spot values at n=4)",

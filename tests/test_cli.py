@@ -133,10 +133,21 @@ class TestDist:
         def exhausted(pair, n):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
-        monkeypatch.setattr(distance, "distance_report", exhausted)
+        monkeypatch.setattr(distance, "sigma_direct", exhausted)
         code, out, err = run(capsys, "dist", "--pair", "pz", "--n", str(10**12))
         assert code == 2 and out == ""
         assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+
+    @pytest.mark.parametrize("pair,n", [("pz", 1500000), ("wz", 1500002), ("cz", 2000000)])
+    def test_pattern_holds_past_float_resolution(self, capsys, pair, n):
+        code, out, _ = run(capsys, "dist", "--pair", pair, "--n", str(n), "--mode", "both")
+        assert code == 0
+        assert out.splitlines()[-1] == "pattern_matches_proof True"
+
+    def test_text_output_skips_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(distance, "distance_report", None)
+        code, out, _ = run(capsys, "dist", "--pair", "wz", "--n", "37", "--mode", "both")
+        assert code == 0 and out.splitlines()[-1] == "pattern_matches_proof True"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
@@ -156,6 +167,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", "interlacing",
                            "--pair", "pz", "--n", "4..200")
         assert code == 0 and out.startswith("PASS interlacing pz: 197 orders")
+
+    @pytest.mark.parametrize(
+        "pair,lo,hi",
+        [("pz", 1499990, 1499993), ("wz", 1500000, 1500003), ("cz", 1999998, 2000002)],
+    )
+    def test_interlacing_past_float_resolution(self, capsys, pair, lo, hi):
+        orders = distance.pair_orders(pair, lo, hi)
+        code, out, _ = run(capsys, "verify", "--check", "interlacing",
+                           "--pair", pair, "--n", f"{lo}..{hi}")
+        assert code == 0 and out == f"PASS interlacing {pair}: {len(orders)} orders checked\n"
 
     def test_additivity(self, capsys):
         orders = range(pair_min_order("pw"), 121)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +14,16 @@ from specdist import (
     closed_spectrum,
     crossover_index,
     distance_report,
-    interlace_pattern,
+    pattern_mismatch,
     pattern_sigma,
     sigma,
     sigma_closed,
-    sigma_closed_cz,
-    sigma_closed_pz,
-    sigma_closed_wz,
     sigma_direct,
 )
-from specdist.distance import EQUALITY_TOL, MAX_CLOSED_ORDER, PAIRS, _residue_bounds
+from specdist import distance, spectra
+from specdist.distance import MAX_CLOSED_ORDER, PAIRS, _residue_bounds, pair_orders
 from specdist.errors import LengthMismatchError, OrderTooLargeError, OrderTooSmallError
+from specdist.spectra import MAX_ANGLE_ORDER
 
 SQRT3 = math.sqrt(3.0)
 
@@ -62,29 +62,29 @@ class TestSigma:
 
 class TestClosedSums:
     def test_pz_n4(self):
-        assert abs(sigma_closed_pz(4) - SIGMA_P4_Z4) < 1e-12
+        assert abs(sigma_closed("pz", 4) - SIGMA_P4_Z4) < 1e-12
 
     def test_pz_n5(self):
-        assert abs(sigma_closed_pz(5) - SIGMA_P5_Z5) < 1e-12
+        assert abs(sigma_closed("pz", 5) - SIGMA_P5_Z5) < 1e-12
 
     def test_pz_n7(self):
-        assert abs(sigma_closed_pz(7) - sigma_direct("pz", 7)) < 1e-12
+        assert abs(sigma_closed("pz", 7) - sigma_direct("pz", 7)) < 1e-12
 
     def test_wz_n6(self):
-        assert abs(sigma_closed_wz(6) - 0.5469149439892785) < 1e-12
-        assert abs(sigma_closed_wz(6) - sigma_direct("wz", 6)) < 1e-12
+        assert abs(sigma_closed("wz", 6) - 0.5469149439892785) < 1e-12
+        assert abs(sigma_closed("wz", 6) - sigma_direct("wz", 6)) < 1e-12
 
     def test_wz_n8_n9(self):
-        assert abs(sigma_closed_wz(8) - sigma_direct("wz", 8)) < 1e-12
-        assert abs(sigma_closed_wz(9) - sigma_direct("wz", 9)) < 1e-12
+        assert abs(sigma_closed("wz", 8) - sigma_direct("wz", 8)) < 1e-12
+        assert abs(sigma_closed("wz", 9) - sigma_direct("wz", 9)) < 1e-12
 
     def test_cz_small(self):
-        assert abs(sigma_closed_cz(2) - SIGMA_C4_Z4) < 1e-12
+        assert abs(sigma_closed("cz", 4) - SIGMA_C4_Z4) < 1e-12
         expected = 4.0 - 4.0 * math.cos(math.pi / 10) + 4.0 * math.cos(3 * math.pi / 10)
-        assert abs(sigma_closed_cz(3) - expected) < 1e-12
+        assert abs(sigma_closed("cz", 6) - expected) < 1e-12
 
     def test_cz_n50(self):
-        assert abs(sigma_closed_cz(50) - sigma_direct("cz", 100)) < 1e-10
+        assert abs(sigma_closed("cz", 100) - sigma_direct("cz", 100)) < 1e-10
 
     @pytest.mark.parametrize("pair,low", [("pz", 4), ("wz", 6), ("pw", 6)])
     def test_matches_direct_on_range(self, pair, low):
@@ -97,11 +97,11 @@ class TestClosedSums:
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
-            sigma_closed_pz(3)
+            sigma_closed("pz", 3)
         with pytest.raises(OrderTooSmallError):
-            sigma_closed_wz(5)
+            sigma_closed("wz", 5)
         with pytest.raises(OrderTooSmallError):
-            sigma_closed_cz(1)
+            sigma_closed("cz", 2)
 
     @pytest.mark.parametrize("pair", PAIRS)
     def test_order_too_large(self, pair):
@@ -229,59 +229,90 @@ class TestCrossover:
 
 class TestInterlacePattern:
     def test_pz_n5(self):
-        report = interlace_pattern("pz", 5)
         # Z dominates index 1, P index 2, zeros meet in the middle; the
         # lower half mirrors with flipped dominance (bipartite symmetry)
-        assert report.pattern == (
+        assert distance_report("pz", 5).pattern == (
             "G2_above", "G1_above", "equal", "G2_above", "G1_above"
         )
-        assert report.matches_proof
+        assert pattern_mismatch("pz", 5) is None
 
     def test_pz_n8(self):
-        report = interlace_pattern("pz", 8)
-        assert report.pattern[:4] == ("G2_above",) * 2 + ("G1_above",) * 2
-        assert report.matches_proof
+        pattern = distance_report("pz", 8).pattern
+        assert pattern[:4] == ("G2_above",) * 2 + ("G1_above",) * 2
+        assert pattern_mismatch("pz", 8) is None
 
     def test_cz_order4(self):
-        report = interlace_pattern("cz", 4)
-        assert report.pattern == ("G1_above", "equal", "equal", "G2_above")
-        assert report.matches_proof
+        assert distance_report("cz", 4).pattern == ("G1_above", "equal", "equal", "G2_above")
+        assert pattern_mismatch("cz", 4) is None
 
     def test_cz_order6_alternates(self):
-        report = interlace_pattern("cz", 6)
-        assert report.pattern == ("G1_above", "G2_above") * 3
-        assert report.matches_proof
+        assert distance_report("cz", 6).pattern == ("G1_above", "G2_above") * 3
+        assert pattern_mismatch("cz", 6) is None
 
     def test_wz_even_middle_equality(self):
-        report = interlace_pattern("wz", 10)
-        assert report.pattern[4] == "equal" and report.pattern[5] == "equal"
-        assert report.matches_proof
+        pattern = distance_report("wz", 10).pattern
+        assert pattern[4] == "equal" and pattern[5] == "equal"
+        assert pattern_mismatch("wz", 10) is None
 
     @pytest.mark.parametrize("pair,low", [("pz", 4), ("wz", 6)])
     def test_patterns_hold_up_to_500(self, pair, low):
         for n in range(low, 501):
-            assert interlace_pattern(pair, n).matches_proof, (pair, n)
+            assert pattern_mismatch(pair, n) is None, (pair, n)
 
     def test_cz_patterns_hold(self):
         for n in range(4, 501, 2):
-            assert interlace_pattern("cz", n).matches_proof, n
+            assert pattern_mismatch("cz", n) is None, n
 
     def test_pw_has_no_asserted_pattern(self):
         with pytest.raises(ValueError):
-            interlace_pattern("pw", 10)
-        assert distance_report("pw", 10).matches_proof is None
+            pattern_mismatch("pw", 10)
+        assert len(distance_report("pw", 10).pattern) == 10
 
-    def test_equality_classification(self):
-        report = interlace_pattern("pz", 5)
-        for diff, label in zip(report.diffs, report.pattern):
-            assert (label == "equal") == (abs(diff) < EQUALITY_TOL)
+    def test_exact_codes_clear_the_float_threshold(self):
+        # at these orders the float diffs sit far from the 1e-12 threshold a
+        # float classifier would use: an exactly equal pair differs by less,
+        # any other by more and with the exact code's sign
+        signs = {"equal": 0, "G1_above": 1, "G2_above": -1}
+        for pair in PAIRS:
+            for n in pair_orders(pair, 1, 200):
+                report = distance_report(pair, n)
+                for diff, label in zip(report.diffs, report.pattern):
+                    if label == "equal":
+                        assert abs(diff) < 1e-12, (pair, n)
+                    else:
+                        assert abs(diff) > 1e-12, (pair, n)
+                        assert math.copysign(1, diff) == signs[label], (pair, n)
 
-    def test_strict_inequalities_are_strict(self):
-        for n in range(4, 200):
-            report = interlace_pattern("pz", n)
-            for diff, label in zip(report.diffs, report.pattern):
-                if label != "equal":
-                    assert abs(diff) > EQUALITY_TOL
+
+class TestClosedAngles:
+    @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
+    def test_angles_give_the_closed_spectrum(self, family):
+        for n in range(6, 300):
+            spec = FamilySpec(family, n)
+            nums, den = spectra.closed_angles(spec)
+            assert nums.dtype == "int64" and len(nums) == n
+            assert np.all(np.diff(nums) >= 0) and 0 <= nums[0] and nums[-1] <= den
+            values = 2.0 * np.cos(nums * math.pi / den)
+            assert np.max(np.abs(values - closed_spectrum(spec))) < 1e-13
+
+    def test_bound_is_the_int64_cross_product_limit(self):
+        assert 4 * MAX_ANGLE_ORDER**2 <= 2**63 - 1 < 4 * (MAX_ANGLE_ORDER + 1) ** 2
+
+    @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
+    def test_too_large_raises_before_allocating(self, family, monkeypatch):
+        # any numpy call would raise AttributeError instead
+        monkeypatch.setattr(spectra, "np", None)
+        with pytest.raises(OrderTooLargeError, match=f"n <= {MAX_ANGLE_ORDER}"):
+            spectra.closed_angles(FamilySpec(family, MAX_ANGLE_ORDER + 1))
+        with pytest.raises(AttributeError):
+            spectra.closed_angles(FamilySpec(family, MAX_ANGLE_ORDER))
+
+    @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
+    def test_pattern_too_large_raises_before_allocating(self, pair, monkeypatch):
+        monkeypatch.setattr(spectra, "np", None)
+        monkeypatch.setattr(distance, "np", None)
+        with pytest.raises(OrderTooLargeError):
+            pattern_mismatch(pair, MAX_ANGLE_ORDER + 1)
 
 
 class TestPatternSigma:

@@ -9,7 +9,7 @@ from specdist import (
     default_grid,
     richardson_extrapolate,
     sequence_scan,
-    sigma_closed_pz,
+    sigma_closed,
     target_constant,
 )
 from specdist.errors import (
@@ -47,11 +47,6 @@ class TestAlternatingSum:
     def test_converges_to_minus_half(self):
         assert abs(alternating_sum(100_000) + 0.5) < 1e-3
 
-    def test_compensated_agrees(self):
-        assert alternating_sum(5000, compensated=True) == pytest.approx(
-            alternating_sum(5000), abs=1e-13
-        )
-
     def test_too_small(self):
         with pytest.raises(OrderTooSmallError):
             alternating_sum(1)
@@ -66,12 +61,13 @@ class TestRichardson:
     def test_constant_sequence(self):
         assert richardson_extrapolate([(10, 7.0), (20, 7.0), (40, 7.0)]) == 7.0
 
-    def test_non_doubling_falls_back_to_last(self):
+    def test_non_doubling_rejected(self):
         samples = [(10, 1.0), (20, 1.5), (100, 1.9)]
-        assert richardson_extrapolate(samples) == 1.9
+        with pytest.raises(ValueError, match="not a doubling"):
+            richardson_extrapolate(samples)
 
     def test_residue_grid_lands_near_l_star(self):
-        samples = [(n, sigma_closed_pz(n)) for n in (4001, 8001, 16001)]
+        samples = [(n, sigma_closed("pz", n)) for n in (4001, 8001, 16001)]
         assert abs(richardson_extrapolate(samples) - L_STAR) < 1e-5
 
     def test_insufficient_samples(self):

@@ -5,9 +5,16 @@ Exit codes: 0 success, 1 verification failure or scan tolerance exceeded,
 direct and closed sigma paths, 4 the Jacobi eigensolver exhausted its sweep
 budget without converging.  The SPECTRA_TOL environment variable
 overrides the scan acceptance tolerance.
+
+main() builds the argument parser on its first call and reuses it for every
+later call in the process.  The parser holds no handler, tolerance or default
+of the program: each call looks up run_<command> in this module, the
+tolerances and limits.DEFAULT_N_MAX when it runs, so they can be patched
+between calls.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -221,8 +228,9 @@ def run_scan(args):
     if args.pair != "cz" and args.residue is None:
         print(f"pair {args.pair} requires --residue 0..3", file=sys.stderr)
         return 2
+    n_max = limits.DEFAULT_N_MAX if args.n_max is None else args.n_max
     try:
-        estimate = limits.sequence_scan(args.pair, residue=args.residue, n_max=args.n_max)
+        estimate = limits.sequence_scan(args.pair, residue=args.residue, n_max=n_max)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -240,7 +248,10 @@ def run_scan(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every main()
+    call; nothing may change it after it is built."""
     parser = argparse.ArgumentParser(
         prog="specdist",
         description="Spectral distances between paths, cycles and snake trees.",
@@ -254,7 +265,6 @@ def build_parser():
     sp.add_argument("--graph-file", help="edge-list file for the numeric oracle")
     sp.add_argument("--format", choices=["text", "csv", "json"], default="text")
     sp.add_argument("--out")
-    sp.set_defaults(func=run_spectrum)
 
     dp = sub.add_parser("dist", help="Spectral distance of a pair at order n")
     dp.add_argument("--pair", choices=["pz", "wz", "pw", "cz"], required=True)
@@ -262,7 +272,6 @@ def build_parser():
     dp.add_argument("--mode", choices=["direct", "closed", "both"], default="direct")
     dp.add_argument("--format", choices=["text", "json"], default="text")
     dp.add_argument("--out")
-    dp.set_defaults(func=run_dist)
 
     vp = sub.add_parser("verify", help="Run a verification suite over a range")
     vp.add_argument(
@@ -272,23 +281,20 @@ def build_parser():
     )
     vp.add_argument("--pair", choices=["pz", "wz", "cz"])
     vp.add_argument("--n", type=_parse_range, required=True, help='inclusive range "a..b"')
-    vp.set_defaults(func=run_verify)
 
     cp = sub.add_parser("scan", help="Scan a sigma sequence and extrapolate its limit")
     cp.add_argument("--pair", choices=["pz", "wz", "pw", "cz"], required=True)
     cp.add_argument("--residue", type=int, choices=[0, 1, 2, 3])
-    cp.add_argument("--n-max", type=int, default=limits.DEFAULT_N_MAX)
+    cp.add_argument("--n-max", type=int)
     cp.add_argument("--format", choices=["csv", "json"], default="csv")
     cp.add_argument("--out")
-    cp.set_defaults(func=run_scan)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"run_{args.command}"](args)
     except (OrderTooSmallError, OrderTooLargeError, ResidueMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from .errors import (
     ResidueMismatchError,
 )
 from .graphs import MIN_ORDER, Family, FamilySpec
-from .spectra import closed_angles, closed_spectrum
+from .spectra import angle_progressions, closed_angles, closed_spectrum
 
 PAIRS = ("pz", "wz", "pw", "cz")
 
@@ -83,21 +83,24 @@ def pair_spectra(pair: str, n: int):
     return closed_spectrum(FamilySpec(f1, n)), closed_spectrum(FamilySpec(f2, n))
 
 
+def _sorted_sigma(a, b) -> float:
+    # l1 distance of two spectra that are already sorted descending
+    return float(np.sum(np.abs(a - b)))
+
+
 def sigma(a, b) -> float:
     """l1 distance between two spectra after descending sorts."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatchError(f"spectra have lengths {a.size} and {b.size}")
-    a = np.sort(a)[::-1]
-    b = np.sort(b)[::-1]
-    return float(np.sum(np.abs(a - b)))
+    return _sorted_sigma(np.sort(a)[::-1], np.sort(b)[::-1])
 
 
 def sigma_direct(pair: str, n: int) -> float:
-    """sigma from the two closed-form spectra, no case analysis."""
-    s1, s2 = pair_spectra(pair, n)
-    return sigma(s1, s2)
+    """sigma from the two closed-form spectra, no case analysis; they come
+    sorted, so nothing is sorted again."""
+    return _sorted_sigma(*pair_spectra(pair, n))
 
 
 def crossover_index(n: int) -> int:
@@ -206,8 +209,11 @@ def sigma_closed(pair: str, n: int) -> float:
 
 
 def check_additivity(n: int) -> float:
-    """Residual |sigma(P,W) - sigma(P,Z) - sigma(W,Z)| from closed spectra."""
-    return abs(sigma_direct("pw", n) - sigma_direct("pz", n) - sigma_direct("wz", n))
+    """Residual |sigma(P,W) - sigma(P,Z) - sigma(W,Z)| from closed spectra,
+    each built once."""
+    check_pair_order("pw", n)
+    p, z, w = (closed_spectrum(FamilySpec(f, n)) for f in "pzw")
+    return abs(_sorted_sigma(p, w) - _sorted_sigma(p, z) - _sorted_sigma(w, z))
 
 
 G1_ABOVE = "G1_above"
@@ -276,13 +282,127 @@ def observed_pattern_codes(pair: str, n: int) -> np.ndarray:
     return np.sign(num2 * den1 - num1 * den2).astype(np.int8)
 
 
+# The same patterns in O(1): a pattern is a tuple of run lists, one per class
+# of k modulo the tuple's length (class i holds k = i + 1, i + 1 + step, ...),
+# and a run (first, last, code) gives one code to every k of its class in
+# first..last.  The runs of a class tile its k = 1..n in ascending order, and
+# neighbours differ in code, so two patterns agree when their runs are equal.
+
+
+def _overlaps(xs, ys):
+    """(first, last, x, y) for each overlap of two ascending lists of
+    (first, last, ...) items that tile the same k of one class."""
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        first = x[0] if x[0] > y[0] else y[0]
+        if x[1] < y[1]:
+            yield first, x[1], x, y
+            i += 1
+        else:
+            yield first, y[1], x, y
+            i += x[1] == y[1]
+            j += 1
+
+
+def _sign_runs(c0, c1, first, last, step):
+    """Runs of sign(c0 + c1 k) over k = first, first + step, ..., last: a
+    line changes sign only at its root -c0/c1, so three runs at most."""
+    if c1 == 0:
+        return [(first, last, (c0 > 0) - (c0 < 0))]
+    s = 1 if c1 > 0 else -1
+    root, rest = divmod(-c0, c1)  # -c0/c1 = root + rest/c1, 0 <= rest/c1 < 1
+    # the largest k of the class below -c0/c1 and the smallest one above it
+    below = root - (rest == 0)
+    below -= (below - first) % step
+    above = root + 1 + (first - root - 1) % step
+    runs = []
+    if below >= first:
+        runs.append((first, below if below < last else last, -s))
+    if rest == 0 and first <= root <= last and (root - first) % step == 0:
+        runs.append((root, root, 0))
+    if above <= last:
+        runs.append((above if above > first else first, last, s))
+    return runs
+
+
+def _on_class(pieces, start, step):
+    """Angle pieces (first, last, piece step, a, b) cut down to the k = start
+    (mod step) they hold, for a step that each piece step divides."""
+    if step == 1:
+        return pieces
+    on_class = []
+    for first, last, piece_step, a, b in pieces:
+        if (start - first) % piece_step == 0:
+            first += (start - first) % step
+            last -= (last - start) % step
+            if first <= last:
+                on_class.append((first, last, step, a, b))
+    return on_class
+
+
+def observed_pattern_runs(pair: str, n: int):
+    """observed_pattern_codes as runs, from the angles alone.  Where both
+    numerators are linear in k, so is num2 den1 - num1 den2, and its exact
+    sign changes once at most.  The classes are those of the pieces' largest
+    step: the odd and the even k for cz, as the cycle's pieces step by 2."""
+    check_pair_order(pair, n, closed=True)
+    f1, f2 = _PAIR_FAMILIES[pair]
+    (pieces1, den1), (pieces2, den2) = angle_progressions(f1, n), angle_progressions(f2, n)
+    step = max(pieces1[0][2], pieces2[0][2])
+    classes = []
+    for start in range(1, step + 1):
+        runs = []
+        for first, last, x, y in _overlaps(_on_class(pieces1, start, step),
+                                           _on_class(pieces2, start, step)):
+            for run in _sign_runs(y[3] * den1 - x[3] * den2, y[4] * den1 - x[4] * den2,
+                                  first, last, step):
+                if runs and runs[-1][2] == run[2]:  # one run per stretch of one sign
+                    runs[-1] = (runs[-1][0], run[1], run[2])
+                else:
+                    runs.append(run)
+        classes.append(runs)
+    return tuple(classes)
+
+
+def expected_pattern_runs(pair: str, n: int):
+    """expected_pattern_codes as runs: one class from _residue_bounds for pz
+    and wz, the odd and the even k by the parity rule for cz."""
+    check_pair_order(pair, n, closed=True)
+    half = n // 2
+    if pair == "cz":
+        if half % 2:
+            return [(1, n - 1, 1)], [(2, n, -1)]
+        odd = [(1, half - 1, 1), (half + 1, half + 1, 0), (half + 3, n - 1, 1)]
+        even = [(2, half - 2, -1), (half, half, 0), (half + 2, n, -1)]
+        return tuple([run for run in runs if run[0] <= run[1]] for runs in (odd, even))
+    if pair not in ("pz", "wz"):
+        raise ValueError(f"no asserted pattern for pair {pair!r}")
+    first = -1 if pair == "pz" else 1
+    k1_hi, k2_lo, k2_hi, equal_ks = _residue_bounds(pair, n)
+    # these runs tile k = 1..n - half, and the lower half mirrors k <= half
+    upper = sorted([(1, k1_hi, first), (k2_lo, k2_hi, -first)] + [(k, k, 0) for k in equal_ks])
+    lower = [(n + 1 - hi, n + 1 - lo, -code) for lo, hi, code in reversed(upper) if hi <= half]
+    runs = upper + lower
+    if upper[-1][2] == lower[0][2]:  # wz at even n: the equal middle pair, one run
+        runs[len(upper) - 1 : len(upper) + 1] = [(upper[-1][0], lower[0][1], 0)]
+    return (runs,)
+
+
 def pattern_mismatch(pair: str, n: int) -> int | None:
     """1-based index of the first k where the observed sign pattern departs
     from the asserted one, or None when the proof's pattern holds at order n
-    (pairs pz, wz and cz; ValueError for pw, which has no asserted pattern)."""
-    observed = observed_pattern_codes(pair, n)
-    bad = np.flatnonzero(observed != expected_pattern_codes(pair, n))
-    return int(bad[0]) + 1 if bad.size else None
+    (pairs pz, wz and cz; ValueError for pw, which has no asserted pattern).
+
+    Compares the run forms in O(1) with Python ints, so it decides any order
+    up to MAX_CLOSED_ORDER exactly and builds nothing of size n."""
+    expected = expected_pattern_runs(pair, n)
+    observed = observed_pattern_runs(pair, n)
+    if observed == expected:
+        return None
+    firsts = [first for runs in zip(observed, expected)
+              for first, _, x, y in _overlaps(*runs) if x[2] != y[2]]
+    return min(firsts) if firsts else None
 
 
 def distance_report(pair: str, n: int) -> DistanceReport:

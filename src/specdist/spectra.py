@@ -66,7 +66,8 @@ def closed_angles(spec: FamilySpec):
     numerators over one denominator, with lambda_k = 2 cos(pi nums[k-1] / den),
     so index k matches closed_spectrum's descending order.
 
-    Raises OrderTooLargeError above MAX_ANGLE_ORDER, before allocating.
+    Raises OrderTooLargeError above MAX_ANGLE_ORDER, before allocating.  The
+    stable sort merges the few ascending runs in linear time.
     """
     n = spec.n
     if n > MAX_ANGLE_ORDER:
@@ -79,11 +80,34 @@ def closed_angles(spec: FamilySpec):
     if spec.family is Family.Z_TREE:
         # 1/2 together with (2k-1)/(2n-2), k = 1..n-1
         odd = np.arange(1, 2 * n - 2, 2, dtype=np.int64)
-        return np.sort(np.append(odd, n - 1)), 2 * n - 2
+        return np.sort(np.append(odd, n - 1), kind="stable"), 2 * n - 2
     # w: 0, 1/2, 1/2, 1 together with k/(n-3) = 2k/(2n-6), k = 1..n-4
     d = 2 * n - 6
     even = np.arange(2, d, 2, dtype=np.int64)
-    return np.sort(np.concatenate(([0, n - 3, n - 3, d], even))), d
+    return np.sort(np.concatenate(([0, n - 3, n - 3, d], even)), kind="stable"), d
+
+
+def angle_progressions(family, n: int):
+    """closed_angles in O(1): (pieces, den), where a piece (first, last, step,
+    a, b) gives nums[k-1] = a + b k for k = first, first + step, ..., last and
+    the pieces together cover k = 1..n once.  Plain ints, so any order works;
+    it takes no FamilySpec, whose order stops at graphs.MAX_ORDER, and checks
+    no order.  The cycle's numerators 2 floor(k/2) take one piece per parity
+    of k, so both its pieces have step 2; every other piece has step 1.
+    """
+    if family == Family.PATH:
+        return ((1, n, 1, 0, 1),), n + 1
+    if family == Family.CYCLE:
+        return ((1, n - 1 + n % 2, 2, -1, 1), (2, n - n % 2, 2, 0, 1)), n
+    if family == Family.Z_TREE:
+        # the odd 2k-1 up to k = n/2, the inserted n-1, the odd ones after it
+        h = n // 2
+        pieces = ((1, h, 1, -1, 2), (h + 1, h + 1, 1, n - 1, 0), (h + 2, n, 1, -3, 2))
+        return pieces, 2 * n - 2
+    # w: 0 and the evens below n-3, n-3 twice, the evens above it and 2n-6
+    e = (n - 4) // 2
+    pieces = ((1, e + 1, 1, -2, 2), (e + 2, e + 3, 1, n - 3, 0), (e + 4, n, 1, -6, 2))
+    return pieces, 2 * n - 6
 
 
 def numeric_spectrum(m) -> np.ndarray:

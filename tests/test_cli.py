@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,15 +14,18 @@ from specdist import (
     build_path,
     cli,
     closed_spectrum,
+    default_grid,
     distance,
     eigensolver,
+    limits,
     numeric_spectrum,
     spectrum_deviation,
     to_edge_list_text,
 )
 from specdist.cli import main
-from specdist.distance import pair_min_order
+from specdist.distance import MAX_CLOSED_ORDER, pair_min_order
 from specdist.graphs import MIN_ORDER
+from specdist.spectra import MAX_ANGLE_ORDER
 
 
 def run(capsys, *argv):
@@ -144,6 +151,13 @@ class TestDist:
         assert code == 0
         assert out.splitlines()[-1] == "pattern_matches_proof True"
 
+    @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
+    def test_closed_verdict_past_the_int64_bound(self, capsys, pair):
+        n = MAX_ANGLE_ORDER + 1  # even, so valid for cz too
+        code, out, err = run(capsys, "dist", "--pair", pair, "--n", str(n), "--mode", "closed")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "pattern_matches_proof True"
+
     def test_text_output_skips_the_report(self, capsys, monkeypatch):
         monkeypatch.setattr(distance, "distance_report", None)
         code, out, _ = run(capsys, "dist", "--pair", "wz", "--n", "37", "--mode", "both")
@@ -177,6 +191,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", "interlacing",
                            "--pair", pair, "--n", f"{lo}..{hi}")
         assert code == 0 and out == f"PASS interlacing {pair}: {len(orders)} orders checked\n"
+
+    @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
+    def test_interlacing_at_huge_orders(self, capsys, pair):
+        # past the int64 bound of the dense codes, up to the closed-form bound
+        for lo in (MAX_ANGLE_ORDER - 10, 10**12, MAX_CLOSED_ORDER - 100):
+            hi = lo + 100
+            orders = distance.pair_orders(pair, lo, hi)
+            code, out, _ = run(capsys, "verify", "--check", "interlacing",
+                               "--pair", pair, "--n", f"{lo}..{hi}")
+            assert code == 0
+            assert out == f"PASS interlacing {pair}: {len(orders)} orders checked\n"
 
     def test_additivity(self, capsys):
         orders = range(pair_min_order("pw"), 121)
@@ -225,15 +250,21 @@ class TestVerify:
         assert code == 1 and out == f"FAIL additivity: n=6 residual={residual:.3g}\n"
 
     def test_interlacing_failure_line(self, capsys, monkeypatch):
-        asserted = distance.expected_pattern_codes
+        asserted = distance.expected_pattern_runs
 
         def flipped_from_10(pair, n):
-            codes = asserted(pair, n)
+            classes = asserted(pair, n)
             if n >= 10:
-                codes[2] = -codes[2]
-            return codes
+                # k = 3 lies in the first class, whatever the step
+                step, runs = len(classes), classes[0]
+                i, (lo, hi, code) = next(
+                    (i, run) for i, run in enumerate(runs) if run[0] <= 3 <= run[1]
+                )
+                split = [(lo, 3 - step, code), (3, 3, -code), (3 + step, hi, code)]
+                runs[i : i + 1] = [run for run in split if run[0] <= run[1]]
+            return classes
 
-        monkeypatch.setattr(distance, "expected_pattern_codes", flipped_from_10)
+        monkeypatch.setattr(distance, "expected_pattern_runs", flipped_from_10)
         for pair in ("pz", "wz", "cz"):
             code, out, _ = run(
                 capsys, "verify", "--check", "interlacing", "--pair", pair, "--n", "1..60"
@@ -321,3 +352,69 @@ class TestScan:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestParserReuse:
+    """main() builds its parser once; no call may leave state for the next."""
+
+    # a JSON dist, then one with --format and --mode at their defaults; an
+    # argparse rejection, then a valid call; a scan with and without --n-max
+    CALLS = (
+        ("dist", "--pair", "pz", "--n", "9", "--mode", "both", "--format", "json"),
+        ("dist", "--pair", "pz", "--n", "9"),
+        ("verify", "--check", "additivity", "--n", "10..4"),
+        ("verify", "--check", "interlacing", "--pair", "cz", "--n", "4..40"),
+        ("scan", "--pair", "cz", "--n-max", "1000", "--format", "json"),
+        ("scan", "--pair", "cz", "--format", "json"),
+    )
+
+    @staticmethod
+    def outputs(capsys):
+        results = []
+        for argv in TestParserReuse.CALLS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejected the arguments
+                code = f"exit {exc.code}"
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_outputs_match_fresh_parsers(self, capsys, monkeypatch):
+        reused = self.outputs(capsys)
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert self.outputs(capsys) == reused
+
+        (code, out, _), (text_code, text, _) = reused[:2]
+        assert code == 0 and json.loads(out)["n"] == 9
+        assert text_code == 0
+        assert text == (
+            f"sigma_direct {distance.sigma_direct('pz', 9):.17g}\n"
+            "pattern_matches_proof True\n"
+        )
+        code, out, err = reused[2]
+        assert code == "exit 2" and out == "" and "empty range" in err
+        assert reused[3] == (0, "PASS interlacing cz: 19 orders checked\n", "")
+        limited, default = (json.loads(out) for _, out, _ in reused[4:])
+        assert [n for n, _ in limited["samples"]] == default_grid("cz", n_max=1000)
+        assert [n for n, _ in default["samples"]] == default_grid(
+            "cz", n_max=limits.DEFAULT_N_MAX
+        )
+
+    def test_program_values_are_read_per_call(self, capsys, monkeypatch):
+        cli.build_parser()
+        monkeypatch.setattr(limits, "DEFAULT_N_MAX", 500)
+        code, out, _ = run(capsys, "scan", "--pair", "cz", "--format", "json")
+        assert code == 0
+        assert [n for n, _ in json.loads(out)["samples"]] == default_grid("cz", n_max=500)
+        monkeypatch.setattr(cli, "run_dist", lambda args: 7)
+        assert main(["dist", "--pair", "pz", "--n", "9"]) == 7
+
+    def test_not_built_at_import(self):
+        probe = "import specdist.cli as c; print(c.build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+        )
+        assert proc.stdout == "0\n"

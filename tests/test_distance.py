@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,8 +22,16 @@ from specdist import (
     sigma_direct,
 )
 from specdist import distance, spectra
-from specdist.distance import MAX_CLOSED_ORDER, PAIRS, _residue_bounds, pair_orders
+from specdist.distance import (
+    MAX_CLOSED_ORDER,
+    PAIRS,
+    _residue_bounds,
+    pair_min_order,
+    pair_orders,
+    pair_spectra,
+)
 from specdist.errors import LengthMismatchError, OrderTooLargeError, OrderTooSmallError
+from specdist.graphs import MIN_ORDER
 from specdist.spectra import MAX_ANGLE_ORDER
 
 SQRT3 = math.sqrt(3.0)
@@ -58,6 +67,12 @@ class TestSigma:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             sigma([1.0, 0.0], [1.0])
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_direct_skips_the_sort_bitwise(self, pair):
+        # the closed spectra come sorted: sorting them again changes no bit
+        for n in pair_orders(pair, 1, 1000):
+            assert sigma_direct(pair, n) == sigma(*pair_spectra(pair, n)), n
 
 
 class TestClosedSums:
@@ -307,12 +322,119 @@ class TestClosedAngles:
         with pytest.raises(AttributeError):
             spectra.closed_angles(FamilySpec(family, MAX_ANGLE_ORDER))
 
+    @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
+    def test_progressions_give_the_angles(self, family):
+        for n in range(MIN_ORDER[family], 300):
+            nums, den = spectra.closed_angles(FamilySpec(family, n))
+            pieces, piece_den = spectra.angle_progressions(family, n)
+            covered = np.zeros(n, dtype=int)
+            expanded = np.zeros(n, dtype=np.int64)
+            for first, last, step, a, b in pieces:
+                k = np.arange(first, last + 1, step)
+                assert k[-1] == last
+                covered[k - 1] += 1
+                expanded[k - 1] = a + b * k
+            assert piece_den == den
+            assert np.all(covered == 1) and np.array_equal(expanded, nums), n
+
     @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
     def test_pattern_too_large_raises_before_allocating(self, pair, monkeypatch):
+        # the O(1) verdict has no int64 bound, only the closed forms' one
         monkeypatch.setattr(spectra, "np", None)
         monkeypatch.setattr(distance, "np", None)
         with pytest.raises(OrderTooLargeError):
-            pattern_mismatch(pair, MAX_ANGLE_ORDER + 1)
+            pattern_mismatch(pair, MAX_CLOSED_ORDER + 2)
+        assert pattern_mismatch(pair, MAX_CLOSED_ORDER) is None
+
+
+def _expand(classes, n):
+    """Dense codes of a run form, checking that each class's runs tile it."""
+    step = len(classes)
+    codes = np.zeros(n, dtype=np.int8)
+    for start, runs in enumerate(classes, 1):
+        ends = [start - step] + [k for lo, hi, _ in runs for k in (lo, hi)]
+        assert n - step < ends[-1] <= n, runs
+        assert all(b - a == step for a, b in zip(ends[::2], ends[1::2])), runs
+        assert all(x[2] != y[2] for x, y in zip(runs, runs[1:])), runs
+        for lo, hi, code in runs:
+            assert lo <= hi and (hi - lo) % step == 0
+            codes[lo - 1 : hi : step] = code
+    return codes
+
+
+def _dense_mismatch(observed, expected):
+    bad = np.flatnonzero(observed != expected)
+    return int(bad[0]) + 1 if bad.size else None
+
+
+class TestO1Verdict:
+    """pattern_mismatch from run forms in O(1), against the dense codes."""
+
+    @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
+    def test_every_order_to_2000(self, pair):
+        step = 2 if pair == "cz" else 1
+        for n in pair_orders(pair, 1, 2000):
+            observed = distance.observed_pattern_codes(pair, n)
+            expected = distance.expected_pattern_codes(pair, n)
+            runs = distance.observed_pattern_runs(pair, n)
+            assert len(runs) == step and np.array_equal(_expand(runs, n), observed), n
+            runs = distance.expected_pattern_runs(pair, n)
+            assert len(runs) == step and np.array_equal(_expand(runs, n), expected), n
+            assert pattern_mismatch(pair, n) == _dense_mismatch(observed, expected)
+
+    def test_random_orders_below_1e7(self):
+        # log-uniform, so that every scale is drawn and the dense reference
+        # stays affordable
+        rng = random.Random(20201011)
+        for i in range(500):
+            pair = ("pz", "wz", "cz")[i % 3]
+            n = int(math.exp(rng.uniform(math.log(4), math.log(10**7))))
+            n = max(n - n % 2 if pair == "cz" else n, pair_min_order(pair))
+            dense = _dense_mismatch(
+                distance.observed_pattern_codes(pair, n),
+                distance.expected_pattern_codes(pair, n),
+            )
+            assert pattern_mismatch(pair, n) == dense, (pair, n)
+
+    def test_sign_runs_against_every_k(self):
+        for c0 in range(-7, 8):
+            for c1 in range(-3, 4):
+                for step in (1, 2):
+                    for first in (1, 2, 3):
+                        for last in range(first, first + 9, step):
+                            runs = distance._sign_runs(c0, c1, first, last, step)
+                            got = [code for lo, hi, code in runs
+                                   for _ in range(lo, hi + 1, step)]
+                            want = [int(np.sign(c0 + c1 * k))
+                                    for k in range(first, last + 1, step)]
+                            assert got == want, (c0, c1, first, last, step)
+
+    @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
+    def test_huge_orders_without_numpy(self, pair, monkeypatch):
+        monkeypatch.setattr(spectra, "np", None)
+        monkeypatch.setattr(distance, "np", None)
+        for n in (10**9, 10**12, MAX_ANGLE_ORDER + 1):
+            assert pattern_mismatch(pair, n) is None, n
+
+    def test_injected_departure_is_found(self, monkeypatch):
+        # flip the asserted code at one k; the verdict must name that k
+        asserted = distance.expected_pattern_runs
+        rng = random.Random(7)
+        for pair in ("pz", "wz", "cz"):
+            for n in rng.sample(list(pair_orders(pair, 1, 400)), 40):
+                classes = asserted(pair, n)
+                k = rng.randrange(1, n + 1)
+                step, runs = len(classes), classes[(k - 1) % len(classes)]
+                i, (lo, hi, code) = next(
+                    (i, run) for i, run in enumerate(runs) if run[0] <= k <= run[1]
+                )
+                flipped = 1 if code != 1 else -1
+                split = [(lo, k - step, code), (k, k, flipped), (k + step, hi, code)]
+                runs[i : i + 1] = [run for run in split if run[0] <= run[1]]
+                monkeypatch.setattr(
+                    distance, "expected_pattern_runs", lambda p, m, c=classes: c
+                )
+                assert pattern_mismatch(pair, n) == k, (pair, n, k)
 
 
 class TestPatternSigma:
@@ -349,6 +471,12 @@ class TestAdditivity:
     def test_too_small(self):
         with pytest.raises(OrderTooSmallError):
             check_additivity(5)
+
+    def test_bitwise_equal_to_three_sigmas(self):
+        # each spectrum built once gives the very residual of three sigma_direct calls
+        for n in range(6, 3001):
+            three = abs(sigma_direct("pw", n) - sigma_direct("pz", n) - sigma_direct("wz", n))
+            assert check_additivity(n) == three, n
 
 
 class TestReportJson:

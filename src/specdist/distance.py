@@ -274,12 +274,16 @@ def observed_pattern_codes(pair: str, n: int) -> np.ndarray:
     """Exact sign of lambda_k(G1) - lambda_k(G2), coded as in
     expected_pattern_codes.  Each eigenvalue is 2 cos(pi num/den), which falls
     as num/den rises, so the sign is that of the int64 cross-product
-    num2 den1 - num1 den2; no tolerance enters."""
+    num2 den1 - num1 den2; no tolerance enters.  It is formed in place in
+    closed_angles' fresh arrays, so only two n-sized int64 arrays are alive."""
     check_pair_order(pair, n)
     (num1, den1), (num2, den2) = (
         closed_angles(FamilySpec(f, n)) for f in _PAIR_FAMILIES[pair]
     )
-    return np.sign(num2 * den1 - num1 * den2).astype(np.int8)
+    num2 *= den1
+    num1 *= den2
+    num2 -= num1
+    return np.sign(num2, out=num2).astype(np.int8)
 
 
 # The same patterns in O(1): a pattern is a tuple of run lists, one per class

@@ -3,8 +3,10 @@
 The compiled C kernel (``_jacobi.c``) is preferred.  A pure numpy fallback
 (``_jacobi_py.py``) is selected when the extension is unavailable or when
 SPECTRA_NO_EXT=1 is set; it uses the kernel's per-rotation formulas, skip
-threshold and convergence test, but the round-robin rotation ordering, so
-the two agree to rounding, not bitwise.  Convergence: off-diagonal Frobenius
+threshold and convergence test, but the round-robin rotation ordering, with
+its working copy stored in each round's pair order, so the two agree to
+rounding, not bitwise.  Both return the eigenvalues in the input's index
+order, unsorted.  Convergence: off-diagonal Frobenius
 norm below 1e-12 * n, within a budget of SWEEP_BUDGET (100) sweeps.
 """
 

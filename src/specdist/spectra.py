@@ -53,12 +53,14 @@ _CLOSED_FORMS = {
 def closed_spectrum(spec: FamilySpec) -> np.ndarray:
     """Closed-form eigenvalues of the family member, sorted descending.
 
-    Multiplicities are kept as repeated entries; nothing is collapsed.
+    Multiplicities are kept as repeated entries; nothing is collapsed.  The
+    values are one or two monotone runs, which the stable sort merges in
+    linear time.
     """
     if not isinstance(spec, FamilySpec):
         raise TypeError("closed_spectrum expects a FamilySpec")
     values = _CLOSED_FORMS[spec.family](spec.n)
-    return np.sort(values)[::-1].copy()
+    return np.sort(values, kind="stable")[::-1].copy()
 
 
 def closed_angles(spec: FamilySpec):
@@ -66,8 +68,8 @@ def closed_angles(spec: FamilySpec):
     numerators over one denominator, with lambda_k = 2 cos(pi nums[k-1] / den),
     so index k matches closed_spectrum's descending order.
 
-    Raises OrderTooLargeError above MAX_ANGLE_ORDER, before allocating.  The
-    stable sort merges the few ascending runs in linear time.
+    Raises OrderTooLargeError above MAX_ANGLE_ORDER, before allocating.  Each
+    family's numerators are built in sorted order in one n-sized array.
     """
     n = spec.n
     if n > MAX_ANGLE_ORDER:
@@ -78,13 +80,20 @@ def closed_angles(spec: FamilySpec):
         # 2k/n folded into [0, 1]: 0 once, 2k/n twice for 0 < 2k < n, 1 at even n
         return np.repeat(np.arange(0, n + 1, 2, dtype=np.int64), 2)[1 : n + 1], n
     if spec.family is Family.Z_TREE:
-        # 1/2 together with (2k-1)/(2n-2), k = 1..n-1
-        odd = np.arange(1, 2 * n - 2, 2, dtype=np.int64)
-        return np.sort(np.append(odd, n - 1), kind="stable"), 2 * n - 2
-    # w: 0, 1/2, 1/2, 1 together with k/(n-3) = 2k/(2n-6), k = 1..n-4
-    d = 2 * n - 6
-    even = np.arange(2, d, 2, dtype=np.int64)
-    return np.sort(np.concatenate(([0, n - 3, n - 3, d], even)), kind="stable"), d
+        # 1/2 together with (2k-1)/(2n-2), k = 1..n-1: n - 1 follows the
+        # n // 2 odd numerators below it, and the rest move up one place
+        h = n // 2
+        nums = np.arange(1, 2 * n, 2, dtype=np.int64)
+        nums[h] = n - 1
+        nums[h + 1 :] -= 2
+        return nums, 2 * n - 2
+    # w: 0, 1/2, 1/2, 1 together with k/(n-3) = 2k/(2n-6), k = 1..n-4: 0 and
+    # the e even numerators below n - 3, n - 3 twice, the evens above it, 2n - 6
+    e = (n - 4) // 2
+    nums = np.arange(0, 2 * n, 2, dtype=np.int64)
+    nums[e + 1 : e + 3] = n - 3
+    nums[e + 3 :] -= 4
+    return nums, 2 * n - 6
 
 
 def angle_progressions(family, n: int):

@@ -228,6 +228,46 @@ class TestClosedFormReference:
                 assert abs(_mp_lagrange(pair, n) - _mp_direct(pair, n)) < 1e-35
 
 
+class TestCzAsymptotics:
+    """n (sigma(C_n, Z_n) - 2) tends to c1 = -pi at n = 0 (mod 4) and to
+    c1 = +pi at n = 2 (mod 4), so a scan that samples one class sees half the
+    sequence.  With x = pi/(2n - 2), sigma - 2 = 2 - 2/cos x + 2 (c1/pi) tan x,
+    so n (sigma - 2) - c1 = (c1 - pi^2/4)/n + O(n^-2): -5.61/n and +0.67/n,
+    below C/n for n >= 1e3."""
+
+    C = 6.0
+    # sigma_closed's absolute error at these orders, asserted against mpmath
+    # below (measured at most 1.3e-16)
+    SIGMA_ERR = 1e-15
+
+    @staticmethod
+    def _c1(n):
+        return -math.pi if n % 4 == 0 else math.pi
+
+    @pytest.mark.parametrize("residue", [0, 2])
+    def test_limit_per_class_to_1e9(self, residue):
+        orders = [int(n) - int(n) % 4 + residue for n in np.geomspace(1e3, 1e9, 61)]
+        for n in orders:
+            scaled = n * (sigma_closed("cz", n) - 2.0)
+            assert abs(scaled - self._c1(n)) <= self.C / n + n * self.SIGMA_ERR, n
+
+    @pytest.mark.parametrize(
+        "n", [1000, 1002, 10**6, 10**6 + 2, 10**9, 10**9 + 2, 4 * 12345679, 4 * 12345679 + 2]
+    )
+    def test_against_mpmath(self, n):
+        with mp.workdps(50):
+            exact = _mp_lagrange("cz", n)
+            assert abs(sigma_closed("cz", n) - exact) <= self.SIGMA_ERR
+            # the 1/n bound holds for the exact values, not just the floats
+            c1 = -mp.pi if n % 4 == 0 else mp.pi
+            assert abs(n * (exact - 2) - c1) <= self.C / n
+
+    def test_both_classes_near_1e6(self):
+        assert round(10**6 * (sigma_closed("cz", 10**6) - 2.0), 5) == -3.14160
+        n = 10**6 + 2
+        assert round(n * (sigma_closed("cz", n) - 2.0), 5) == 3.14159
+
+
 class TestCrossover:
     def test_mod_0(self):
         assert crossover_index(8) == 2

@@ -114,7 +114,7 @@ def test_backends_agree():
 
 
 def test_pure_sweeps_keep_matrix_exactly_symmetric():
-    # the fallback rotates P∪Q × P∪Q twice per round; both sides must agree
+    # the fallback rotates each round from both sides; the two must agree
     rng = random.Random(11)
     matrices = [m for _, m in _family_matrices(2, 40)]
     matrices += [_random_connected_adjacency(rng, n, rng.randrange(2 * n)) for n in range(2, 41)]
@@ -126,6 +126,106 @@ def test_pure_sweeps_keep_matrix_exactly_symmetric():
         )
         assert converged
         assert np.array_equal(a, a.T), f"n={n}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 33])
+def test_pure_schedule_meets_every_pair_once_per_sweep(n):
+    orders, moves = _jacobi_py._schedule(n)
+    m = n + n % 2
+    assert orders.shape == moves.shape == (m - 1, m)
+    # round 0 is the label order, and the moves cycle back to it
+    assert np.array_equal(orders[0], np.arange(m))
+    for r, move in enumerate(moves):
+        assert np.array_equal(orders[r][move], orders[(r + 1) % (m - 1)])
+    pairs = orders.reshape(m - 1, m // 2, 2)
+    assert np.all(pairs[..., 0] < pairs[..., 1])
+    met = sorted(map(tuple, pairs.reshape(-1, 2).tolist()))
+    assert met == [(p, q) for p in range(m) for q in range(p + 1, m)]
+
+
+# (converged, sweeps) of the fallback when it still kept the matrix in label
+# order, at n = 2..48 from each family's least order: storing the working copy
+# in pair order must not move a single sweep count.  Every run converged.
+_LABEL_ORDER_SWEEPS = {
+    "p": [1, 3, 1, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6,
+          6, 6, 7, 6, 7, 6, 7, 6, 7, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7],
+    "c": [1, 1, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6,
+          7, 6, 7, 7, 7, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7],
+    "z": [1, 4, 4, 5, 5, 5, 5, 5, 6, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6,
+          7, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8],
+    "w": [4, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 7, 6, 6, 6, 6, 6, 7, 7, 7, 6,
+          7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 7, 7, 7, 8, 7, 7, 7, 8],
+}
+# the same for _random_connected_adjacency(rng, n, rng.randrange(2 * n)),
+# n = 2..48 in turn, with rng = random.Random(13)
+_LABEL_ORDER_RANDOM_SWEEPS = [
+    1, 1, 3, 1, 1, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 6, 6, 6, 7, 7,
+    7, 7, 7, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 7, 7, 7, 7,
+]
+
+
+def _fallback_run(m, max_sweeps=None):
+    a = np.array(m, dtype=np.float64)
+    if max_sweeps is None:
+        max_sweeps = eigensolver.SWEEP_BUDGET
+    return _jacobi_py.jacobi_sweeps(a, max_sweeps, eigensolver.TOL_PER_DIM * a.shape[0])
+
+
+def test_pure_sweep_counts_unchanged():
+    got = {}
+    for spec, m in _family_matrices(2, 48):
+        got.setdefault(spec.family.value, []).append(_fallback_run(m))
+    assert got == {
+        family: [(True, sweeps) for sweeps in counts]
+        for family, counts in _LABEL_ORDER_SWEEPS.items()
+    }
+    rng = random.Random(13)
+    random_runs = [
+        _fallback_run(_random_connected_adjacency(rng, n, rng.randrange(2 * n)))
+        for n in range(2, 49)
+    ]
+    assert random_runs == [(True, sweeps) for sweeps in _LABEL_ORDER_RANDOM_SWEEPS]
+
+
+def test_pure_backend_returns_input_order():
+    # the working copy is stored in each round's pair order; no permutation
+    # may leak into the unsorted result
+    d = [3.0, -1.0, 0.5, 2.0, 7.0]
+    assert np.array_equal(symmetric_eigenvalues(np.diag(d), backend="pure"), d)
+    # weak couplings make the rounds run; the entries are distinct integers,
+    # so each eigenvalue lies within the coupling's norm of its own entry (Weyl)
+    rng = random.Random(3)
+    for n in range(2, 13):
+        d = np.array(rng.sample(range(-3 * n, 3 * n), n), dtype=np.float64)
+        coupling = 0.01 * _random_connected_adjacency(rng, n, n)
+        values = symmetric_eigenvalues(np.diag(d) + coupling, backend="pure")
+        assert np.max(np.abs(values - d)) <= np.linalg.norm(coupling, 2), n
+
+
+_BUDGET_MATRICES = [
+    adjacency_matrix(build_family(FamilySpec("p", 30))),
+    [[0.0, 1.0], [1.0, 0.0]],
+    np.diag([3.0, -1.0, 0.5, 2.0, 7.0]),
+    [[4.0]],
+]
+
+
+@pytest.mark.parametrize(
+    "max_sweeps,expected",
+    [
+        (0, [(False, 0), (False, 0), (True, 0), (True, 0)]),
+        (1, [(False, 1), (True, 1), (True, 0), (True, 0)]),
+    ],
+)
+def test_pure_sweep_budget(max_sweeps, expected):
+    for m, want in zip(_BUDGET_MATRICES, expected):
+        assert _fallback_run(m, max_sweeps) == want
+        if want[0]:
+            values = symmetric_eigenvalues(m, max_sweeps=max_sweeps, backend="pure")
+            assert values.shape == (len(m),)
+        else:
+            with pytest.raises(ConvergenceError):
+                symmetric_eigenvalues(m, max_sweeps=max_sweeps, backend="pure")
 
 
 def test_pure_backend_matches_closed_spectra():

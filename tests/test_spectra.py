@@ -15,6 +15,12 @@ from specdist import (
     spectrum_to_csv,
 )
 from specdist.errors import LengthMismatchError, OrderTooSmallError
+from specdist.spectra import (
+    cycle_eigenvalues,
+    path_eigenvalues,
+    w_eigenvalues,
+    z_eigenvalues,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -43,6 +49,22 @@ class TestClosedForms:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
             closed_spectrum(FamilySpec("w", 5))
+
+    @pytest.mark.parametrize(
+        "family,values",
+        [
+            ("p", path_eigenvalues),
+            ("c", cycle_eigenvalues),
+            ("z", z_eigenvalues),
+            ("w", w_eigenvalues),
+        ],
+    )
+    def test_stable_sort_matches_default_sort(self, family, values):
+        # the closed forms are one or two monotone runs, which the stable
+        # sort merges in linear time; the result must not change by a bit
+        for n in (6, 7, 100, 101, 4096, 4097, 100_000, 100_001):
+            expected = np.sort(values(n))[::-1]
+            assert np.array_equal(closed_spectrum(FamilySpec(family, n)), expected), n
 
 
 class TestNumericSpectrum:

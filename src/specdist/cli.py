@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification failure or scan tolerance exceeded,
 2 invalid arguments or graph order, 3 internal inconsistency between the
 direct and closed sigma paths, 4 the Jacobi eigensolver exhausted its sweep
-budget without converging.  The SPECTRA_TOL environment variable
-overrides the scan acceptance tolerance.
+budget without converging.  The SPECTRA_TOL environment variable overrides
+the scan acceptance tolerance; a value not a finite number >= 0 exits 2.
 
 main() builds the argument parser on its first call and reuses it for every
 later call in the process.  The parser holds no handler, tolerance or default
@@ -64,14 +64,16 @@ def _values_line(values):
 
 def run_spectrum(args):
     if args.graph_file:
-        with open(args.graph_file, encoding="utf-8") as fh:
-            text = fh.read()
+        # undecodable bytes, a malformed line and an order too large for the
+        # dense matrix are all ValueErrors of the file
         try:
-            g = graphs.from_edge_list_text(text)
+            with open(args.graph_file, encoding="utf-8") as fh:
+                g = graphs.from_edge_list_text(fh.read())
+            m = graphs.adjacency_matrix(g)
         except ValueError as exc:
             print(f"error: {args.graph_file}: {exc}", file=sys.stderr)
             return 2
-        values = spectra.numeric_spectrum(graphs.adjacency_matrix(g))
+        values = spectra.numeric_spectrum(m)
         closed = None
         label = f"graph-file n={g.n}"
     else:
@@ -224,7 +226,13 @@ def run_scan(args):
     tol = SCAN_TOL[args.pair]
     env_tol = os.environ.get("SPECTRA_TOL")
     if env_tol:
-        tol = float(env_tol)
+        try:
+            tol = float(env_tol)
+        except ValueError:
+            tol = -1.0
+        if not 0.0 <= tol <= sys.float_info.max:  # nan fails both comparisons
+            print(f"error: SPECTRA_TOL={env_tol!r} is not a finite number >= 0", file=sys.stderr)
+            return 2
     if args.pair != "cz" and args.residue is None:
         print(f"pair {args.pair} requires --residue 0..3", file=sys.stderr)
         return 2

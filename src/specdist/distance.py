@@ -243,30 +243,13 @@ class DistanceReport:
 
 def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
     """Sign pattern of lambda_k(G1) - lambda_k(G2) asserted by the case
-    analysis: +1 G1 above, -1 G2 above, 0 equal.  Lower half mirrors the
-    upper half with flipped sign (bipartite symmetry)."""
-    check_pair_order(pair, n)
+    analysis: +1 G1 above, -1 G2 above, 0 equal.  expected_pattern_runs
+    written out, one slice per run."""
+    classes = expected_pattern_runs(pair, n)
     codes = np.zeros(n, dtype=np.int8)
-
-    if pair == "cz":
-        half = n // 2
-        codes[0::2] = 1
-        codes[1::2] = -1
-        if half % 2 == 0:
-            codes[half - 1 : half + 1] = 0
-        return codes
-
-    if pair not in ("pz", "wz"):
-        raise ValueError(f"no asserted pattern for pair {pair!r}")
-
-    first = -1 if pair == "pz" else 1  # pz: Z (G2) dominates low indices
-    k1_hi, k2_lo, k2_hi, equal_ks = _residue_bounds(pair, n)
-    codes[:k1_hi] = first
-    codes[k2_lo - 1 : k2_hi] = -first
-    for k in equal_ks:
-        codes[k - 1] = 0
-    half = n // 2
-    codes[n - half :] = -codes[:half][::-1]
+    for runs in classes:
+        for first, last, code in runs:
+            codes[first - 1 : last : len(classes)] = code
     return codes
 
 
@@ -370,8 +353,9 @@ def observed_pattern_runs(pair: str, n: int):
 
 
 def expected_pattern_runs(pair: str, n: int):
-    """expected_pattern_codes as runs: one class from _residue_bounds for pz
-    and wz, the odd and the even k by the parity rule for cz."""
+    """The case analysis's sign pattern as runs, which expected_pattern_codes
+    writes out: one class from _residue_bounds for pz and wz (the lower half
+    mirrors the upper, sign flipped), the odd and the even k for cz."""
     check_pair_order(pair, n, closed=True)
     half = n // 2
     if pair == "cz":
@@ -416,7 +400,7 @@ def distance_report(pair: str, n: int) -> DistanceReport:
     return DistanceReport(
         pair=pair,
         n=n,
-        sigma=float(np.sum(np.abs(diffs))),
+        sigma=_sorted_sigma(s1, s2),
         diffs=tuple(diffs.tolist()),
         pattern=tuple(_CODE_NAMES[observed_pattern_codes(pair, n)].tolist()),
     )

@@ -7,6 +7,7 @@ matrices bit-reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -188,6 +189,8 @@ def build_family(spec: FamilySpec) -> Graph:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix with zero diagonal."""
+    if g.n > math.isqrt(MAX_ORDER):  # its n^2 entries cannot fit one array
+        raise OrderTooLargeError(f"adjacency matrix requires n <= {math.isqrt(MAX_ORDER)}")
     m = np.zeros((g.n, g.n))
     for u, v in g.edges:
         m[u, v] = 1.0

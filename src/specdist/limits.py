@@ -13,13 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .distance import (
-    MAX_CLOSED_ORDER,
-    check_pair_order,
-    pair_min_order,
-    pair_orders,
-    sigma_closed,
-)
+from .distance import MAX_CLOSED_ORDER, pair_min_order, pair_orders, sigma_closed
 from .errors import InsufficientSamplesError, OrderTooSmallError
 
 # (8 - 8*sqrt(2) + 2*pi) / pi, the shared limit of the pz and wz sequences.
@@ -124,24 +118,11 @@ class LimitEstimate:
         return buf.getvalue()
 
 
-def sequence_scan(
-    pair: str,
-    residue=None,
-    n_values=None,
-    n_max: int = DEFAULT_N_MAX,
-) -> LimitEstimate:
-    """Evaluate the closed-form sigma along a residue-class grid and
-    extrapolate the limit.  residue is required for pz/wz/pw, ignored for cz."""
+def sequence_scan(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> LimitEstimate:
+    """Evaluate the closed-form sigma along default_grid and extrapolate the
+    limit.  residue is required for pz/wz/pw, ignored for cz."""
     residue = _scan_residue(pair, residue)
-    if n_values is None:
-        n_values = default_grid(pair, residue, n_max)
-    else:
-        n_values = list(n_values)
-        if any(b <= a for a, b in zip(n_values, n_values[1:])):
-            raise ValueError("n_values must be strictly increasing")
-        for n in n_values:
-            check_pair_order(pair, n, residue)
-    samples = tuple((n, sigma_closed(pair, n)) for n in n_values)
+    samples = tuple((n, sigma_closed(pair, n)) for n in default_grid(pair, residue, n_max))
     extrapolated = richardson_extrapolate(samples)
     target = target_constant(pair)
     return LimitEstimate(

@@ -68,41 +68,29 @@ def closed_angles(spec: FamilySpec):
     numerators over one denominator, with lambda_k = 2 cos(pi nums[k-1] / den),
     so index k matches closed_spectrum's descending order.
 
-    Raises OrderTooLargeError above MAX_ANGLE_ORDER, before allocating.  Each
-    family's numerators are built in sorted order in one n-sized array.
+    Raises OrderTooLargeError above MAX_ANGLE_ORDER, before allocating, and
+    else writes angle_progressions out in place over one array of k = 1..n.
     """
     n = spec.n
     if n > MAX_ANGLE_ORDER:
         raise OrderTooLargeError(f"exact angles require n <= {MAX_ANGLE_ORDER}")
-    if spec.family is Family.PATH:
-        return np.arange(1, n + 1, dtype=np.int64), n + 1
-    if spec.family is Family.CYCLE:
-        # 2k/n folded into [0, 1]: 0 once, 2k/n twice for 0 < 2k < n, 1 at even n
-        return np.repeat(np.arange(0, n + 1, 2, dtype=np.int64), 2)[1 : n + 1], n
-    if spec.family is Family.Z_TREE:
-        # 1/2 together with (2k-1)/(2n-2), k = 1..n-1: n - 1 follows the
-        # n // 2 odd numerators below it, and the rest move up one place
-        h = n // 2
-        nums = np.arange(1, 2 * n, 2, dtype=np.int64)
-        nums[h] = n - 1
-        nums[h + 1 :] -= 2
-        return nums, 2 * n - 2
-    # w: 0, 1/2, 1/2, 1 together with k/(n-3) = 2k/(2n-6), k = 1..n-4: 0 and
-    # the e even numerators below n - 3, n - 3 twice, the evens above it, 2n - 6
-    e = (n - 4) // 2
-    nums = np.arange(0, 2 * n, 2, dtype=np.int64)
-    nums[e + 1 : e + 3] = n - 3
-    nums[e + 3 :] -= 4
-    return nums, 2 * n - 6
+    pieces, den = angle_progressions(spec.family, n)
+    nums = np.arange(1, n + 1, dtype=np.int64)
+    for first, last, step, a, b in pieces:
+        k = nums[first - 1 : last : step]
+        k *= b
+        k += a
+    return nums, den
 
 
 def angle_progressions(family, n: int):
-    """closed_angles in O(1): (pieces, den), where a piece (first, last, step,
-    a, b) gives nums[k-1] = a + b k for k = first, first + step, ..., last and
-    the pieces together cover k = 1..n once.  Plain ints, so any order works;
-    it takes no FamilySpec, whose order stops at graphs.MAX_ORDER, and checks
-    no order.  The cycle's numerators 2 floor(k/2) take one piece per parity
-    of k, so both its pieces have step 2; every other piece has step 1.
+    """closed_angles in O(1), the one statement of its layout: (pieces, den),
+    where a piece (first, last, step, a, b) gives nums[k-1] = a + b k for
+    k = first, first + step, ..., last, and the pieces cover k = 1..n once.
+    Plain ints, so any order works; it takes no FamilySpec, whose order stops
+    at graphs.MAX_ORDER, and checks no order.  The cycle's numerators
+    2 floor(k/2) take one piece per parity of k, so both its pieces have
+    step 2; every other piece has step 1.
     """
     if family == Family.PATH:
         return ((1, n, 1, 0, 1),), n + 1

@@ -24,7 +24,7 @@ from specdist import (
 )
 from specdist.cli import main
 from specdist.distance import MAX_CLOSED_ORDER, pair_min_order
-from specdist.graphs import MIN_ORDER
+from specdist.graphs import MAX_ORDER, MIN_ORDER
 from specdist.spectra import MAX_ANGLE_ORDER
 
 
@@ -80,16 +80,21 @@ class TestSpectrum:
 
     def test_malformed_graph_file_exit_2(self, capsys, tmp_path):
         # a non-integer vertex, a vertex outside 0..n-1, a three-token edge,
-        # a bad line after a blank one, a non-integer count
+        # a bad line after a blank one, a non-integer count, bytes that are
+        # not UTF-8, an order whose n x n matrix cannot be allocated
         for text, reason in (
-            ("n 3\n0 x\n", """line 2: expected "i j", got '0 x'"""),
-            ("n 3\n0 7\n", "edge (0, 7) out of range for n=3"),
-            ("n 3\n0 1 2\n", """line 2: expected "i j", got '0 1 2'"""),
-            ("n 3\n0 1\n\n1 y\n", """line 4: expected "i j", got '1 y'"""),
-            ("n three\n", """line 1: expected "n <count>", got 'n three'"""),
+            (b"n 3\n0 x\n", """line 2: expected "i j", got '0 x'"""),
+            (b"n 3\n0 7\n", "edge (0, 7) out of range for n=3"),
+            (b"n 3\n0 1 2\n", """line 2: expected "i j", got '0 1 2'"""),
+            (b"n 3\n0 1\n\n1 y\n", """line 4: expected "i j", got '1 y'"""),
+            (b"n three\n", """line 1: expected "n <count>", got 'n three'"""),
+            (b"n 3\n0 1\n\xff\xfe 2\n",
+             "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+            (b"n 100000000000\n",
+             f"adjacency matrix requires n <= {math.isqrt(MAX_ORDER)}"),
         ):
             graph_file = tmp_path / "bad.txt"
-            graph_file.write_text(text)
+            graph_file.write_bytes(text)
             code, out, err = run(capsys, "spectrum", "--graph-file", str(graph_file))
             assert code == 2 and out == ""
             assert err == f"error: {graph_file}: {reason}\n"
@@ -330,6 +335,15 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--pair", "cz", "--n-max", "10000")
         assert code == 1
         assert "FAIL scan" in out
+
+    def test_env_tolerance_invalid_exit_2(self, capsys, monkeypatch):
+        # nan would pass every abs_error; none of these reaches the scan
+        monkeypatch.setattr(limits, "sequence_scan", None)
+        for value in ("abc", "nan", "-1", "inf"):
+            monkeypatch.setenv("SPECTRA_TOL", value)
+            code, out, err = run(capsys, "scan", "--pair", "cz", "--n-max", "10000")
+            assert code == 2 and out == ""
+            assert err == f"error: SPECTRA_TOL={value!r} is not a finite number >= 0\n"
 
     def test_order_too_large_exit_2(self, capsys):
         for pair in ("pz", "pw"):

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,13 +343,26 @@ class TestInterlacePattern:
 class TestClosedAngles:
     @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
     def test_angles_give_the_closed_spectrum(self, family):
-        for n in range(6, 300):
+        # every order the dense pattern reference checks, to 2000
+        for n in range(MIN_ORDER[family], 2001):
             spec = FamilySpec(family, n)
             nums, den = spectra.closed_angles(spec)
             assert nums.dtype == "int64" and len(nums) == n
             assert np.all(np.diff(nums) >= 0) and 0 <= nums[0] and nums[-1] <= den
             values = 2.0 * np.cos(nums * math.pi / den)
             assert np.max(np.abs(values - closed_spectrum(spec))) < 1e-13
+
+    @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
+    def test_peak_memory_is_the_result(self, family):
+        # the n int64 numerators and nothing of their size besides
+        spec = FamilySpec(family, 10**6)
+        tracemalloc.start()
+        try:
+            spectra.closed_angles(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * spec.n
 
     def test_bound_is_the_int64_cross_product_limit(self):
         assert 4 * MAX_ANGLE_ORDER**2 <= 2**63 - 1 < 4 * (MAX_ANGLE_ORDER + 1) ** 2

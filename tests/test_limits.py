@@ -12,11 +12,7 @@ from specdist import (
     sigma_closed,
     target_constant,
 )
-from specdist.errors import (
-    InsufficientSamplesError,
-    OrderTooSmallError,
-    ResidueMismatchError,
-)
+from specdist.errors import InsufficientSamplesError, OrderTooSmallError
 
 
 class TestTargets:
@@ -97,7 +93,7 @@ class TestGrid:
         with pytest.raises(ValueError):
             default_grid("pz", residue=None)
         with pytest.raises(ValueError, match=r"^residue must be 0\.\.3, got None$"):
-            sequence_scan("pz", residue=None, n_values=[5, 9, 13])
+            sequence_scan("pz", residue=None)
 
 
 class TestSequenceScan:
@@ -119,20 +115,6 @@ class TestSequenceScan:
     def test_pw_matches_twice_l_star(self):
         est = sequence_scan("pw", residue=2, n_max=100_000)
         assert abs(est.extrapolated - 2.0 * L_STAR) < 1e-5
-
-    def test_explicit_n_values(self):
-        est = sequence_scan("pz", residue=1, n_values=[5, 13, 29, 61])
-        assert est.samples[-1][0] == 61
-
-    def test_residue_mismatch(self):
-        with pytest.raises(ResidueMismatchError):
-            sequence_scan("pz", residue=1, n_values=[5, 13, 28])
-        with pytest.raises(ResidueMismatchError):
-            sequence_scan("cz", n_values=[4, 8, 9])
-
-    def test_order_too_small(self):
-        with pytest.raises(OrderTooSmallError):
-            sequence_scan("wz", residue=1, n_values=[5, 9, 17])
 
     def test_json_round_trip(self):
         est = sequence_scan("cz", n_max=1000)

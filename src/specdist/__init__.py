@@ -6,7 +6,6 @@ from .distance import (
     crossover_index,
     distance_report,
     pattern_mismatch,
-    pattern_sigma,
     sigma,
     sigma_closed,
     sigma_direct,
@@ -25,10 +24,7 @@ from .graphs import (
     build_z,
     build_z_coalesced,
     coalesce,
-    degree_sequence,
     from_edge_list_text,
-    is_bipartite,
-    is_connected,
     to_edge_list_text,
 )
 from .limits import (

@@ -80,6 +80,9 @@ def run_spectrum(args):
         if args.family is None or args.n is None:
             print("spectrum requires --family and --n (or --graph-file)", file=sys.stderr)
             return 2
+        if args.source == "both" and args.format == "csv":
+            print("error: --source both has no csv format; use text or json", file=sys.stderr)
+            return 2
         spec = FamilySpec(args.family, args.n)
         label = f"{args.family} n={args.n}"
         closed = spectra.closed_spectrum(spec)

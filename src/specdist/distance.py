@@ -20,7 +20,7 @@ from .errors import (
     ResidueMismatchError,
 )
 from .graphs import MIN_ORDER, Family, FamilySpec
-from .spectra import angle_progressions, closed_angles, closed_spectrum
+from .spectra import angle_progressions, closed_spectrum
 
 PAIRS = ("pz", "wz", "pw", "cz")
 
@@ -241,11 +241,16 @@ class DistanceReport:
         )
 
 
-def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
-    """Sign pattern of lambda_k(G1) - lambda_k(G2) asserted by the case
-    analysis: +1 G1 above, -1 G2 above, 0 equal.  expected_pattern_runs
-    written out, one slice per run."""
-    classes = expected_pattern_runs(pair, n)
+# Sign patterns as runs: a pattern is a tuple of run lists, one per class
+# of k modulo the tuple's length (class i holds k = i + 1, i + 1 + step, ...),
+# and a run (first, last, code) gives one code to every k of its class in
+# first..last: +1 G1 above, -1 G2 above, 0 equal.  The runs of a class tile
+# its k = 1..n in ascending order, and neighbours differ in code, so two
+# patterns agree when their runs are equal.
+
+
+def _write_runs(classes, n: int) -> np.ndarray:
+    """A pattern's runs written out as n int8 codes, one slice per run."""
     codes = np.zeros(n, dtype=np.int8)
     for runs in classes:
         for first, last, code in runs:
@@ -253,27 +258,10 @@ def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
     return codes
 
 
-def observed_pattern_codes(pair: str, n: int) -> np.ndarray:
-    """Exact sign of lambda_k(G1) - lambda_k(G2), coded as in
-    expected_pattern_codes.  Each eigenvalue is 2 cos(pi num/den), which falls
-    as num/den rises, so the sign is that of the int64 cross-product
-    num2 den1 - num1 den2; no tolerance enters.  It is formed in place in
-    closed_angles' fresh arrays, so only two n-sized int64 arrays are alive."""
-    check_pair_order(pair, n)
-    (num1, den1), (num2, den2) = (
-        closed_angles(FamilySpec(f, n)) for f in _PAIR_FAMILIES[pair]
-    )
-    num2 *= den1
-    num1 *= den2
-    num2 -= num1
-    return np.sign(num2, out=num2).astype(np.int8)
-
-
-# The same patterns in O(1): a pattern is a tuple of run lists, one per class
-# of k modulo the tuple's length (class i holds k = i + 1, i + 1 + step, ...),
-# and a run (first, last, code) gives one code to every k of its class in
-# first..last.  The runs of a class tile its k = 1..n in ascending order, and
-# neighbours differ in code, so two patterns agree when their runs are equal.
+def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
+    """The sign pattern asserted by the case analysis, expected_pattern_runs
+    written out."""
+    return _write_runs(expected_pattern_runs(pair, n), n)
 
 
 def _overlaps(xs, ys):
@@ -329,8 +317,10 @@ def _on_class(pieces, start, step):
 
 
 def observed_pattern_runs(pair: str, n: int):
-    """observed_pattern_codes as runs, from the angles alone.  Where both
-    numerators are linear in k, so is num2 den1 - num1 den2, and its exact
+    """Exact sign pattern of lambda_k(G1) - lambda_k(G2), from the angles
+    alone.  Each eigenvalue is 2 cos(pi num/den), which falls as num/den
+    rises, so the sign is that of num2 den1 - num1 den2; no tolerance enters.
+    Where both numerators are linear in k, so is that cross-product, and its
     sign changes once at most.  The classes are those of the pieces' largest
     step: the odd and the even k for cz, as the cycle's pieces step by 2."""
     check_pair_order(pair, n, closed=True)
@@ -402,16 +392,6 @@ def distance_report(pair: str, n: int) -> DistanceReport:
         n=n,
         sigma=_sorted_sigma(s1, s2),
         diffs=tuple(diffs.tolist()),
-        pattern=tuple(_CODE_NAMES[observed_pattern_codes(pair, n)].tolist()),
+        pattern=tuple(_CODE_NAMES[_write_runs(observed_pattern_runs(pair, n), n)].tolist()),
     )
 
-
-def pattern_sigma(report: DistanceReport) -> float:
-    """Recompute sigma from the upper half of the diffs, doubled by
-    bipartite symmetry (plus the middle term at odd order)."""
-    diffs = np.abs(np.asarray(report.diffs))
-    n = report.n
-    total = 2.0 * float(np.sum(diffs[: n // 2]))
-    if n % 2 == 1:
-        total += float(diffs[n // 2])
-    return total

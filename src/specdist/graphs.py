@@ -8,7 +8,6 @@ matrices bit-reproducible across runs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,9 +88,6 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(normalized))
-
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
 
 
 def build_path(n: int) -> Graph:
@@ -196,56 +192,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
         m[u, v] = 1.0
         m[v, u] = 1.0
     return m
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    """Vertex degrees, sorted descending."""
-    degs = [0] * g.n
-    for u, v in g.edges:
-        degs[u] += 1
-        degs[v] += 1
-    return sorted(degs, reverse=True)
-
-
-def _adjacency_lists(g: Graph) -> list[list[int]]:
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def is_connected(g: Graph) -> bool:
-    adj = _adjacency_lists(g)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
-
-
-def is_bipartite(g: Graph) -> bool:
-    """BFS 2-coloring over every component."""
-    adj = _adjacency_lists(g)
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
 
 
 def to_edge_list_text(g: Graph) -> str:

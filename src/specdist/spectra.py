@@ -9,13 +9,9 @@ import math
 
 import numpy as np
 
-from .errors import LengthMismatchError, OrderTooLargeError
+from .errors import LengthMismatchError
 from .eigensolver import symmetric_eigenvalues
 from .graphs import Family, FamilySpec
-
-# Largest order whose angle cross-products stay exact in int64: numerators
-# and denominators are below 2n, so every product is below 4n^2 <= 2^63 - 1.
-MAX_ANGLE_ORDER = math.isqrt((2**63 - 1) // 4)
 
 
 def path_eigenvalues(n):
@@ -63,34 +59,15 @@ def closed_spectrum(spec: FamilySpec) -> np.ndarray:
     return np.sort(values, kind="stable")[::-1].copy()
 
 
-def closed_angles(spec: FamilySpec):
-    """The closed spectrum as exact angles (nums, den): ascending int64
-    numerators over one denominator, with lambda_k = 2 cos(pi nums[k-1] / den),
-    so index k matches closed_spectrum's descending order.
-
-    Raises OrderTooLargeError above MAX_ANGLE_ORDER, before allocating, and
-    else writes angle_progressions out in place over one array of k = 1..n.
-    """
-    n = spec.n
-    if n > MAX_ANGLE_ORDER:
-        raise OrderTooLargeError(f"exact angles require n <= {MAX_ANGLE_ORDER}")
-    pieces, den = angle_progressions(spec.family, n)
-    nums = np.arange(1, n + 1, dtype=np.int64)
-    for first, last, step, a, b in pieces:
-        k = nums[first - 1 : last : step]
-        k *= b
-        k += a
-    return nums, den
-
-
 def angle_progressions(family, n: int):
-    """closed_angles in O(1), the one statement of its layout: (pieces, den),
-    where a piece (first, last, step, a, b) gives nums[k-1] = a + b k for
-    k = first, first + step, ..., last, and the pieces cover k = 1..n once.
-    Plain ints, so any order works; it takes no FamilySpec, whose order stops
-    at graphs.MAX_ORDER, and checks no order.  The cycle's numerators
-    2 floor(k/2) take one piece per parity of k, so both its pieces have
-    step 2; every other piece has step 1.
+    """The closed spectrum as exact angles in O(1), the one statement of
+    their layout: (pieces, den), where a piece (first, last, step, a, b) gives
+    lambda_k = 2 cos(pi (a + b k) / den) for k = first, first + step, ...,
+    last, in closed_spectrum's descending order, and the pieces cover
+    k = 1..n once.  Plain ints, so any order works; it takes no FamilySpec,
+    whose order stops at graphs.MAX_ORDER, and checks no order.  The cycle's
+    numerators 2 floor(k/2) take one piece per parity of k, so both its
+    pieces have step 2; every other piece has step 1.
     """
     if family == Family.PATH:
         return ((1, n, 1, 0, 1),), n + 1

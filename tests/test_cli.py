@@ -25,7 +25,6 @@ from specdist import (
 from specdist.cli import main
 from specdist.distance import MAX_CLOSED_ORDER, pair_min_order
 from specdist.graphs import MAX_ORDER, MIN_ORDER
-from specdist.spectra import MAX_ANGLE_ORDER
 
 
 def run(capsys, *argv):
@@ -51,6 +50,18 @@ class TestSpectrum:
         assert float(lines[2].split()[1]) < 1e-12
         closed = [float(v) for v in lines[0].split()[1].split(",")]
         assert closed[0] == pytest.approx(math.sqrt(3.0), abs=1e-12)
+
+    def test_both_has_no_csv_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "spectrum", "--family", "p", "--n", "3",
+                             "--source", "both", "--format", "csv")
+        assert code == 2 and out == ""
+        assert err == "error: --source both has no csv format; use text or json\n"
+        # a graph file has no closed spectrum to compare: its numeric CSV as before
+        graph_file = tmp_path / "p3.txt"
+        graph_file.write_text(to_edge_list_text(build_path(3)))
+        code, out, _ = run(capsys, "spectrum", "--graph-file", str(graph_file),
+                           "--source", "both", "--format", "csv")
+        assert code == 0 and out.startswith("index,eigenvalue\n1,")
 
     def test_invalid_order_exit_2(self, capsys):
         code, _, err = run(capsys, "spectrum", "--family", "w", "--n", "5")
@@ -158,7 +169,7 @@ class TestDist:
 
     @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
     def test_closed_verdict_past_the_int64_bound(self, capsys, pair):
-        n = MAX_ANGLE_ORDER + 1  # even, so valid for cz too
+        n = 1518500250  # 4n^2 > 2^63, and even, so valid for cz too
         code, out, err = run(capsys, "dist", "--pair", pair, "--n", str(n), "--mode", "closed")
         assert code == 0 and err == ""
         assert out.splitlines()[-1] == "pattern_matches_proof True"
@@ -199,8 +210,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
     def test_interlacing_at_huge_orders(self, capsys, pair):
-        # past the int64 bound of the dense codes, up to the closed-form bound
-        for lo in (MAX_ANGLE_ORDER - 10, 10**12, MAX_CLOSED_ORDER - 100):
+        # across the int64 bound of dense cross-products (4n^2 reaches 2^63
+        # past n = 1518500249), up to the closed-form bound
+        for lo in (1518500239, 10**12, MAX_CLOSED_ORDER - 100):
             hi = lo + 100
             orders = distance.pair_orders(pair, lo, hi)
             code, out, _ = run(capsys, "verify", "--check", "interlacing",

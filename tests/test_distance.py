@@ -17,7 +17,6 @@ from specdist import (
     crossover_index,
     distance_report,
     pattern_mismatch,
-    pattern_sigma,
     sigma,
     sigma_closed,
     sigma_direct,
@@ -33,7 +32,6 @@ from specdist.distance import (
 )
 from specdist.errors import LengthMismatchError, OrderTooLargeError, OrderTooSmallError
 from specdist.graphs import MIN_ORDER
-from specdist.spectra import MAX_ANGLE_ORDER
 
 SQRT3 = math.sqrt(3.0)
 
@@ -340,46 +338,68 @@ class TestInterlacePattern:
                         assert math.copysign(1, diff) == signs[label], (pair, n)
 
 
+def _angles(family, n):
+    """(nums, den) of the closed spectrum straight from the cosine arguments
+    of spectra.py, each 2 cos(pi num/den) folded into 0 <= num <= den and
+    sorted ascending, so index k - 1 holds lambda_k of the descending order."""
+    if family == "p":  # k over n + 1
+        nums, den = np.arange(1, n + 1, dtype=np.int64), n + 1
+    elif family == "c":  # 2k mod 2n, folded, over n
+        nums, den = np.arange(2, 2 * n + 1, 2, dtype=np.int64), n
+        nums[-1] = 0
+        np.minimum(nums, 2 * n - nums, out=nums)
+    elif family == "z":  # 2k - 1 for k < n, and n - 1, over 2n - 2
+        nums, den = np.arange(1, 2 * n, 2, dtype=np.int64), 2 * n - 2
+        nums[-1] = n - 1
+    else:  # 2k for k <= n - 4, and 0, n - 3, n - 3, 2n - 6, over 2n - 6
+        nums, den = np.arange(0, 2 * n, 2, dtype=np.int64), 2 * n - 6
+        nums[-3:] = (n - 3, n - 3, 2 * n - 6)
+    nums.sort(kind="stable")  # a few sorted runs, merged in linear time
+    return nums, den
+
+
+def _observed_codes(pair, n):
+    """Exact sign of lambda_k(G1) - lambda_k(G2) for every k, by the int64
+    cross-product num2 den1 - num1 den2 of the dense angles (exact while
+    4n^2 < 2^63)."""
+    (num1, den1), (num2, den2) = (_angles(family, n) for family in pair)
+    num2 *= den1
+    num1 *= den2
+    num2 -= num1
+    return np.sign(num2, out=num2).astype(np.int8)
+
+
+# pattern labels indexed by sign code, as DistanceReport.pattern holds them
+_LABELS = np.array(["equal", "G1_above", "G2_above"], dtype=object)
+
+
 class TestClosedAngles:
     @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
     def test_angles_give_the_closed_spectrum(self, family):
         # every order the dense pattern reference checks, to 2000
         for n in range(MIN_ORDER[family], 2001):
-            spec = FamilySpec(family, n)
-            nums, den = spectra.closed_angles(spec)
-            assert nums.dtype == "int64" and len(nums) == n
-            assert np.all(np.diff(nums) >= 0) and 0 <= nums[0] and nums[-1] <= den
+            nums, den = _angles(family, n)
+            assert len(nums) == n and 0 <= nums[0] and nums[-1] <= den
             values = 2.0 * np.cos(nums * math.pi / den)
-            assert np.max(np.abs(values - closed_spectrum(spec))) < 1e-13
+            assert np.max(np.abs(values - closed_spectrum(FamilySpec(family, n)))) < 1e-13
 
-    @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
-    def test_peak_memory_is_the_result(self, family):
-        # the n int64 numerators and nothing of their size besides
-        spec = FamilySpec(family, 10**6)
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_peak_memory_is_the_codes(self, pair):
+        # the run writer allocates the n int8 codes and nothing of their size besides
+        n = pair_orders(pair, 10**6, 10**6 + 3)[0]
+        runs = distance.observed_pattern_runs(pair, n)
         tracemalloc.start()
         try:
-            spectra.closed_angles(spec)
+            distance._write_runs(runs, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 8 * spec.n
-
-    def test_bound_is_the_int64_cross_product_limit(self):
-        assert 4 * MAX_ANGLE_ORDER**2 <= 2**63 - 1 < 4 * (MAX_ANGLE_ORDER + 1) ** 2
-
-    @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
-    def test_too_large_raises_before_allocating(self, family, monkeypatch):
-        # any numpy call would raise AttributeError instead
-        monkeypatch.setattr(spectra, "np", None)
-        with pytest.raises(OrderTooLargeError, match=f"n <= {MAX_ANGLE_ORDER}"):
-            spectra.closed_angles(FamilySpec(family, MAX_ANGLE_ORDER + 1))
-        with pytest.raises(AttributeError):
-            spectra.closed_angles(FamilySpec(family, MAX_ANGLE_ORDER))
+        assert peak <= 1.05 * n
 
     @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
     def test_progressions_give_the_angles(self, family):
-        for n in range(MIN_ORDER[family], 300):
-            nums, den = spectra.closed_angles(FamilySpec(family, n))
+        for n in [*range(MIN_ORDER[family], 2001), 10**6, 10**6 + 1]:
+            nums, den = _angles(family, n)
             pieces, piece_den = spectra.angle_progressions(family, n)
             covered = np.zeros(n, dtype=int)
             expanded = np.zeros(n, dtype=np.int64)
@@ -428,7 +448,7 @@ class TestO1Verdict:
     def test_every_order_to_2000(self, pair):
         step = 2 if pair == "cz" else 1
         for n in pair_orders(pair, 1, 2000):
-            observed = distance.observed_pattern_codes(pair, n)
+            observed = _observed_codes(pair, n)
             expected = distance.expected_pattern_codes(pair, n)
             runs = distance.observed_pattern_runs(pair, n)
             assert len(runs) == step and np.array_equal(_expand(runs, n), observed), n
@@ -445,7 +465,7 @@ class TestO1Verdict:
             n = int(math.exp(rng.uniform(math.log(4), math.log(10**7))))
             n = max(n - n % 2 if pair == "cz" else n, pair_min_order(pair))
             dense = _dense_mismatch(
-                distance.observed_pattern_codes(pair, n),
+                _observed_codes(pair, n),
                 distance.expected_pattern_codes(pair, n),
             )
             assert pattern_mismatch(pair, n) == dense, (pair, n)
@@ -467,7 +487,7 @@ class TestO1Verdict:
     def test_huge_orders_without_numpy(self, pair, monkeypatch):
         monkeypatch.setattr(spectra, "np", None)
         monkeypatch.setattr(distance, "np", None)
-        for n in (10**9, 10**12, MAX_ANGLE_ORDER + 1):
+        for n in (10**9, 10**12, 1518500250):  # the last has 4n^2 > 2^63
             assert pattern_mismatch(pair, n) is None, n
 
     def test_injected_departure_is_found(self, monkeypatch):
@@ -497,7 +517,11 @@ class TestPatternSigma:
         step = 2 if pair == "cz" else 1
         for n in range(low, 300, step):
             report = distance_report(pair, n)
-            assert abs(pattern_sigma(report) - report.sigma) < 1e-9
+            # the upper half of the diffs doubled by bipartite symmetry, plus
+            # the middle term at odd order
+            diffs = np.abs(np.asarray(report.diffs))
+            halved = 2.0 * float(np.sum(diffs[: n // 2])) + (n % 2) * float(diffs[n // 2])
+            assert abs(halved - report.sigma) < 1e-9
 
 
 class TestCzMultiplicity:
@@ -535,12 +559,28 @@ class TestAdditivity:
 
 class TestReportJson:
     def test_round_trip(self):
-        report = distance_report("cz", 8)
-        payload = json.loads(report.to_json())
-        assert payload["pair"] == "cz" and payload["n"] == 8
-        assert payload["sigma"] == report.sigma
-        assert tuple(payload["diffs"]) == report.diffs
-        assert tuple(payload["pattern"]) == report.pattern
+        # the printed pattern is the dense exact one at every valid order to
+        # 2000, pw included; printing all the diffs too would take seconds,
+        # so the whole payload is read back at the orders to 100 and at 2000
+        for pair in PAIRS:
+            for n in pair_orders(pair, 1, 2000):
+                report = distance_report(pair, n)
+                labels = tuple(_LABELS[_observed_codes(pair, n)].tolist())
+                assert report.pattern == labels, (pair, n)
+                if n <= 100 or n >= 1999:
+                    payload = json.loads(report.to_json())
+                    assert payload["pair"] == pair and payload["n"] == n
+                    assert payload["sigma"] == report.sigma
+                    assert tuple(payload["diffs"]) == report.diffs
+                    assert tuple(payload["pattern"]) == labels
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_pattern_past_a_million(self, pair):
+        # the written-out runs at orders where the diffs alone fill megabytes:
+        # 10^6 and 10^6 + 1 (10^6 + 2 for cz)
+        for n in pair_orders(pair, 10**6, 10**6 + 2)[:2]:
+            labels = tuple(_LABELS[_observed_codes(pair, n)].tolist())
+            assert distance_report(pair, n).pattern == labels, (pair, n)
 
 
 VALID_FAMILIES = st.sampled_from(["p", "c", "z", "w"])

@@ -14,10 +14,7 @@ from specdist import (
     build_z,
     build_z_coalesced,
     coalesce,
-    degree_sequence,
     from_edge_list_text,
-    is_bipartite,
-    is_connected,
     to_edge_list_text,
 )
 from specdist.errors import OrderTooSmallError
@@ -28,6 +25,11 @@ def to_nx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+def degree_sequence(g):
+    """Vertex degrees by networkx, sorted descending."""
+    return sorted((d for _, d in to_nx(g).degree), reverse=True)
 
 
 class TestGraphType:
@@ -72,7 +74,7 @@ class TestCycle:
         g = build_cycle(6)
         assert len(g.edges) == 6
         assert degree_sequence(g) == [2] * 6
-        assert is_connected(g)
+        assert nx.is_connected(to_nx(g))
 
     def test_too_small(self):
         with pytest.raises(OrderTooSmallError):
@@ -99,7 +101,7 @@ class TestCoalesce:
         merged = coalesce(g, 2, h, 0)
         assert merged.n == g.n + h.n - 1
         assert len(merged.edges) == len(g.edges) + len(h.edges)
-        assert merged.degree(2) == g.degree(2) + h.degree(0)
+        assert to_nx(merged).degree[2] == to_nx(g).degree[2] + to_nx(h).degree[0]
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -145,7 +147,7 @@ class TestW:
 
     def test_w10_is_tree(self):
         g = build_w(10)
-        assert len(g.edges) == 9 and is_connected(g)
+        assert len(g.edges) == 9 and nx.is_connected(to_nx(g))
 
     def test_matches_coalescence_construction(self):
         for n in range(7, 40):
@@ -162,23 +164,23 @@ class TestTreeInvariants:
     @pytest.mark.parametrize("n", range(4, 60))
     def test_z_is_tree(self, n):
         g = build_z(n)
-        assert len(g.edges) == n - 1 and is_connected(g)
+        assert len(g.edges) == n - 1 and nx.is_connected(to_nx(g))
 
     @pytest.mark.parametrize("n", range(6, 60))
     def test_w_is_tree(self, n):
         g = build_w(n)
-        assert len(g.edges) == n - 1 and is_connected(g)
+        assert len(g.edges) == n - 1 and nx.is_connected(to_nx(g))
 
     def test_bipartite_families(self):
         for n in range(4, 30):
-            assert is_bipartite(build_path(n))
-            assert is_bipartite(build_z(n))
+            assert nx.is_bipartite(to_nx(build_path(n)))
+            assert nx.is_bipartite(to_nx(build_z(n)))
             if n >= 6:
-                assert is_bipartite(build_w(n))
+                assert nx.is_bipartite(to_nx(build_w(n)))
             if n % 2 == 0:
-                assert is_bipartite(build_cycle(n))
+                assert nx.is_bipartite(to_nx(build_cycle(n)))
             else:
-                assert not is_bipartite(build_cycle(n))
+                assert not nx.is_bipartite(to_nx(build_cycle(n)))
 
 
 class TestAdjacency:

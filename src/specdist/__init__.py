@@ -22,7 +22,6 @@ from .graphs import (
     build_w,
     build_w_coalesced,
     build_z,
-    build_z_coalesced,
     coalesce,
     from_edge_list_text,
     to_edge_list_text,

@@ -64,6 +64,10 @@ def _values_line(values):
 
 def run_spectrum(args):
     if args.graph_file:
+        if args.source == "both":
+            print("error: a graph file has no closed spectrum; --source both needs --family",
+                  file=sys.stderr)
+            return 2
         # undecodable bytes, a malformed line and an order too large for the
         # dense matrix are all ValueErrors of the file
         try:
@@ -74,7 +78,6 @@ def run_spectrum(args):
             print(f"error: {args.graph_file}: {exc}", file=sys.stderr)
             return 2
         values = spectra.numeric_spectrum(m)
-        closed = None
         label = f"graph-file n={g.n}"
     else:
         if args.family is None or args.n is None:
@@ -92,7 +95,7 @@ def run_spectrum(args):
             m = graphs.adjacency_matrix(graphs.build_family(spec))
             values = spectra.numeric_spectrum(m)
 
-    if args.source == "both" and closed is not None:
+    if args.source == "both":
         deviation = spectra.spectrum_deviation(closed, values)
         if args.format == "json":
             payload = {"spectrum": label, "closed": closed.tolist(),
@@ -209,6 +212,9 @@ def _verify_interlacing(args):
 def run_verify(args):
     if args.check == "interlacing":
         return _verify_interlacing(args)
+    if args.pair is not None:
+        print(f"error: --check {args.check} takes no --pair", file=sys.stderr)
+        return 2
     rows, noun, quantity, tol_name = _TOLERANCE_CHECKS[args.check]
     tol = globals()[tol_name]
     worst = 0.0

@@ -128,19 +128,10 @@ def coalesce(g: Graph, u: int, h: Graph, v: int) -> Graph:
 
 
 def build_z(n: int) -> Graph:
-    """Snake Z_n: path on n-2 vertices with two pendants on its last vertex.
+    """Snake Z_n: the coalescence of an end of P_{n-2} with the center of P_3.
 
     Vertices 0..n-3 form the spine; pendants n-2 and n-1 attach to n-3.
     """
-    check_family_order(Family.Z_TREE, n)
-    edges = set((i, i + 1) for i in range(n - 3))
-    edges.add((n - 3, n - 2))
-    edges.add((n - 3, n - 1))
-    return Graph(n, frozenset(edges))
-
-
-def build_z_coalesced(n: int) -> Graph:
-    """Z_n as the coalescence of an end of P_{n-2} with the center of P_3."""
     check_family_order(Family.Z_TREE, n)
     return coalesce(build_path(n - 2), n - 3, build_path(3), 1)
 

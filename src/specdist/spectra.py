@@ -1,7 +1,9 @@
 """Adjacency spectra of the four families, two independent ways.
 
-Closed forms (cosine expressions per family) and the Jacobi eigensolver act
-as mutual oracles; spectrum_deviation measures their sup-norm disagreement.
+angle_progressions states each family's spectrum once, as exact angles
+pi num/den; closed_spectrum writes them out as cosines.  The closed forms and
+the Jacobi eigensolver act as mutual oracles; spectrum_deviation measures
+their sup-norm disagreement.
 """
 
 import io
@@ -14,49 +16,22 @@ from .eigensolver import symmetric_eigenvalues
 from .graphs import Family, FamilySpec
 
 
-def path_eigenvalues(n):
-    # 2 cos(k pi / (n+1)), k = 1..n; already descending.
-    k = np.arange(1, n + 1)
-    return 2.0 * np.cos(k * math.pi / (n + 1))
-
-
-def cycle_eigenvalues(n):
-    # 2 cos(2 k pi / n), k = 1..n.
-    k = np.arange(1, n + 1)
-    return 2.0 * np.cos(2.0 * k * math.pi / n)
-
-
-def z_eigenvalues(n):
-    # 0 together with 2 cos((2k-1) pi / (2n-2)), k = 1..n-1.
-    k = np.arange(1, n)
-    return np.concatenate(([0.0], 2.0 * np.cos((2 * k - 1) * math.pi / (2 * n - 2))))
-
-
-def w_eigenvalues(n):
-    # {2, 0, 0, -2} together with 2 cos(k pi / (n-3)), k = 1..n-4.
-    k = np.arange(1, n - 3)
-    return np.concatenate(([2.0, 0.0, 0.0, -2.0], 2.0 * np.cos(k * math.pi / (n - 3))))
-
-
-_CLOSED_FORMS = {
-    Family.PATH: path_eigenvalues,
-    Family.CYCLE: cycle_eigenvalues,
-    Family.Z_TREE: z_eigenvalues,
-    Family.W_TREE: w_eigenvalues,
-}
-
-
 def closed_spectrum(spec: FamilySpec) -> np.ndarray:
-    """Closed-form eigenvalues of the family member, sorted descending.
-
-    Multiplicities are kept as repeated entries; nothing is collapsed.  The
-    values are one or two monotone runs, which the stable sort merges in
-    linear time.
+    """Closed-form eigenvalues of the family member, descending, with
+    multiplicities as repeated entries: angle_progressions written out as
+    2 cos(pi num / den).  An angle of exactly pi/2 gives an exact 0.0.
     """
     if not isinstance(spec, FamilySpec):
         raise TypeError("closed_spectrum expects a FamilySpec")
-    values = _CLOSED_FORMS[spec.family](spec.n)
-    return np.sort(values, kind="stable")[::-1].copy()
+    pieces, den = angle_progressions(spec.family, spec.n)
+    nums = np.arange(1.0, spec.n + 1)  # k, turned into a + b k piece by piece
+    for first, last, step, a, b in pieces:
+        run = nums[first - 1 : last : step]
+        run *= b
+        run += a
+    values = 2.0 * np.cos(nums * math.pi / den)
+    values[2.0 * nums == den] = 0.0
+    return values
 
 
 def angle_progressions(family, n: int):

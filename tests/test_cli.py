@@ -56,11 +56,20 @@ class TestSpectrum:
                              "--source", "both", "--format", "csv")
         assert code == 2 and out == ""
         assert err == "error: --source both has no csv format; use text or json\n"
-        # a graph file has no closed spectrum to compare: its numeric CSV as before
+
+    def test_graph_file_has_no_both_exit_2(self, capsys, tmp_path):
         graph_file = tmp_path / "p3.txt"
         graph_file.write_text(to_edge_list_text(build_path(3)))
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run(capsys, "spectrum", "--graph-file", str(graph_file),
+                                 "--source", "both", "--format", fmt)
+            assert code == 2 and out == ""
+            assert err == (
+                "error: a graph file has no closed spectrum; --source both needs --family\n"
+            )
+        # the default source prints the numeric spectrum, as the other sources do
         code, out, _ = run(capsys, "spectrum", "--graph-file", str(graph_file),
-                           "--source", "both", "--format", "csv")
+                           "--format", "csv")
         assert code == 0 and out.startswith("index,eigenvalue\n1,")
 
     def test_invalid_order_exit_2(self, capsys):
@@ -295,6 +304,12 @@ class TestVerify:
         monkeypatch.setattr(cli, tol, 0.0)
         code, out, _ = run(capsys, "verify", "--check", check, "--n", "4..6")
         assert code == 1 and out.startswith(f"FAIL {check}: family=p n=4 ")
+
+    @pytest.mark.parametrize("check", ["additivity", "oracle", "bipartite-symmetry"])
+    def test_pair_on_a_check_without_pairs_exit_2(self, capsys, check):
+        code, out, err = run(capsys, "verify", "--check", check, "--pair", "pz", "--n", "6..8")
+        assert code == 2 and out == ""
+        assert err == f"error: --check {check} takes no --pair\n"
 
     def test_interlacing_needs_pair(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "interlacing", "--n", "4..10")

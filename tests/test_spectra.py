@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from specdist import (
     FamilySpec,
@@ -15,12 +16,7 @@ from specdist import (
     spectrum_to_csv,
 )
 from specdist.errors import LengthMismatchError, OrderTooSmallError
-from specdist.spectra import (
-    cycle_eigenvalues,
-    path_eigenvalues,
-    w_eigenvalues,
-    z_eigenvalues,
-)
+from specdist.graphs import MIN_ORDER
 
 SQRT3 = math.sqrt(3.0)
 
@@ -50,21 +46,64 @@ class TestClosedForms:
         with pytest.raises(OrderTooSmallError):
             closed_spectrum(FamilySpec("w", 5))
 
-    @pytest.mark.parametrize(
-        "family,values",
-        [
-            ("p", path_eigenvalues),
-            ("c", cycle_eigenvalues),
-            ("z", z_eigenvalues),
-            ("w", w_eigenvalues),
-        ],
-    )
-    def test_stable_sort_matches_default_sort(self, family, values):
-        # the closed forms are one or two monotone runs, which the stable
-        # sort merges in linear time; the result must not change by a bit
-        for n in (6, 7, 100, 101, 4096, 4097, 100_000, 100_001):
-            expected = np.sort(values(n))[::-1]
-            assert np.array_equal(closed_spectrum(FamilySpec(family, n)), expected), n
+
+def textbook_angles(family, n):
+    """The textbook spectrum of the family as (nums, den), each eigenvalue
+    2 cos(pi num/den) with num in 0..den, nums ascending so the eigenvalues
+    descend: sorted as integers, apart from spectra.angle_progressions."""
+    k = np.arange(1, n + 1, dtype=np.int64)
+    if family == "p":  # 2 cos(k pi/(n+1)), k = 1..n
+        nums, den = k, n + 1
+    elif family == "c":  # 2 cos(2 k pi/n), k = 1..n, folded into 0..pi
+        nums, den = np.minimum(2 * k, 2 * n - 2 * k), n
+    elif family == "z":  # 0 and 2 cos((2k-1) pi/(2n-2)), k = 1..n-1
+        nums, den = np.append(2 * k[:-1] - 1, n - 1), 2 * n - 2
+    else:  # {2, 0, 0, -2} and 2 cos(k pi/(n-3)), k = 1..n-4, over 2n-6
+        nums, den = np.append(2 * k[:-4], [0, n - 3, n - 3, 2 * n - 6]), 2 * n - 6
+    return np.sort(nums), den
+
+
+def worst_error(family, n, indices=None):
+    """Largest |closed_spectrum - 40-digit mpmath| over the given 0-based
+    indices of the descending spectrum (all of them by default)."""
+    values = closed_spectrum(FamilySpec(family, n))
+    nums, den = textbook_angles(family, n)
+    if indices is None:
+        indices = range(n)
+    with mp.workdps(40):
+        return max(
+            abs(mp.mpf(values[i]) - 2 * mp.cos(mp.pi * int(nums[i]) / den)) for i in indices
+        )
+
+
+class TestWrittenOutAngles:
+    """closed_spectrum is angle_progressions written out: pi/2 gives an exact
+    0.0, each double cycle eigenvalue is an exact pair, and every entry lies
+    within 1.2e-15 of the textbook value."""
+
+    ERR = 1.2e-15
+
+    @staticmethod
+    def _zeros(family, n):
+        return {"p": n % 2, "c": 2 * (n % 4 == 0), "z": 2 - n % 2, "w": 2 + n % 2}[family]
+
+    def test_exact_zeros_and_descending(self):
+        for family, minimum in MIN_ORDER.items():
+            for n in range(minimum, 2001):
+                values = closed_spectrum(FamilySpec(family, n))
+                assert np.count_nonzero(values == 0.0) == self._zeros(family, n), (family, n)
+                assert np.all(np.diff(values) <= 0), (family, n)
+
+    def test_every_entry_against_mpmath(self):
+        for family, minimum in MIN_ORDER.items():
+            for n in [*range(minimum, 61), 100, 101, 1000, 1001]:
+                assert worst_error(family, n) <= self.ERR, (family, n)
+
+    @pytest.mark.parametrize("n", [10**5, 2 * 10**6 + 3])
+    def test_seeded_entries_at_large_orders(self, n):
+        indices = np.random.default_rng(12).choice(n, size=300, replace=False)
+        for family in MIN_ORDER:
+            assert worst_error(family, n, indices) <= self.ERR, family
 
 
 class TestNumericSpectrum:

@@ -20,7 +20,6 @@ from .graphs import (
     build_family,
     build_path,
     build_w,
-    build_w_coalesced,
     build_z,
     coalesce,
     from_edge_list_text,

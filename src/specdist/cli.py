@@ -1,10 +1,12 @@
 """Command-line front end: spectrum, dist, verify and scan subcommands.
 
 Exit codes: 0 success, 1 verification failure or scan tolerance exceeded,
-2 invalid arguments or graph order, 3 internal inconsistency between the
-direct and closed sigma paths, 4 the Jacobi eigensolver exhausted its sweep
-budget without converging.  The SPECTRA_TOL environment variable overrides
-the scan acceptance tolerance; a value not a finite number >= 0 exits 2.
+2 misuse, 3 internal inconsistency between the direct and closed sigma
+paths, 4 the Jacobi eigensolver exhausted its sweep budget.  Every exit 2 is
+one "error: ..." line that main() alone prints: handlers raise UsageError,
+and the modules' order, residue and sample errors pass through unchanged.
+SPECTRA_TOL overrides the scan acceptance tolerance.  spectrum's --source
+defaults to closed for --family and numeric for --graph-file.
 
 main() builds the argument parser on its first call and reuses it for every
 later call in the process.  The parser holds no handler, tolerance or default
@@ -24,9 +26,11 @@ import numpy as np
 from . import distance, graphs, limits, spectra
 from .errors import (
     ConvergenceError,
+    InsufficientSamplesError,
     OrderTooLargeError,
     OrderTooSmallError,
     ResidueMismatchError,
+    UsageError,
 )
 from .graphs import Family, FamilySpec
 
@@ -64,10 +68,10 @@ def _values_line(values):
 
 def run_spectrum(args):
     if args.graph_file:
-        if args.source == "both":
-            print("error: a graph file has no closed spectrum; --source both needs --family",
-                  file=sys.stderr)
-            return 2
+        if args.source not in (None, "numeric"):
+            raise UsageError(
+                f"a graph file has no closed spectrum; --source {args.source} needs --family"
+            )
         # undecodable bytes, a malformed line and an order too large for the
         # dense matrix are all ValueErrors of the file
         try:
@@ -75,27 +79,24 @@ def run_spectrum(args):
                 g = graphs.from_edge_list_text(fh.read())
             m = graphs.adjacency_matrix(g)
         except ValueError as exc:
-            print(f"error: {args.graph_file}: {exc}", file=sys.stderr)
-            return 2
-        values = spectra.numeric_spectrum(m)
+            raise UsageError(f"{args.graph_file}: {exc}") from None
+        source, values = "numeric", spectra.numeric_spectrum(m)
         label = f"graph-file n={g.n}"
     else:
         if args.family is None or args.n is None:
-            print("spectrum requires --family and --n (or --graph-file)", file=sys.stderr)
-            return 2
-        if args.source == "both" and args.format == "csv":
-            print("error: --source both has no csv format; use text or json", file=sys.stderr)
-            return 2
+            raise UsageError("spectrum requires --family and --n (or --graph-file)")
+        source = args.source or "closed"
+        if source == "both" and args.format == "csv":
+            raise UsageError("--source both has no csv format; use text or json")
         spec = FamilySpec(args.family, args.n)
         label = f"{args.family} n={args.n}"
-        closed = spectra.closed_spectrum(spec)
-        if args.source == "closed":
-            values = closed
-        else:
+        if source != "numeric":
+            values = closed = spectra.closed_spectrum(spec)
+        if source != "closed":
             m = graphs.adjacency_matrix(graphs.build_family(spec))
             values = spectra.numeric_spectrum(m)
 
-    if args.source == "both":
+    if source == "both":
         deviation = spectra.spectrum_deviation(closed, values)
         if args.format == "json":
             payload = {"spectrum": label, "closed": closed.tolist(),
@@ -186,49 +187,46 @@ _TOLERANCE_CHECKS = {
 }
 
 
-def _empty_range(args):
-    lo, hi = args.n
-    check = f"interlacing {args.pair}" if args.check == "interlacing" else args.check
-    print(f"error: no order in {lo}..{hi} is valid for {check}", file=sys.stderr)
-    return 2
-
-
-def _verify_interlacing(args):
-    if args.pair is None or args.pair == "pw":
-        print("interlacing requires --pair pz, wz or cz", file=sys.stderr)
-        return 2
-    orders = distance.pair_orders(args.pair, *args.n)
+def _verify_interlacing(pair, lo, hi):
+    orders = distance.pair_orders(pair, lo, hi)
     for n in orders:
-        index = distance.pattern_mismatch(args.pair, n)
+        index = distance.pattern_mismatch(pair, n)
         if index is not None:
-            print(f"FAIL interlacing {args.pair}: n={n} index={index}")
-            return 1
-    if not orders:
-        return _empty_range(args)
-    print(f"PASS interlacing {args.pair}: {len(orders)} orders checked")
-    return 0
+            return f"FAIL interlacing {pair}: n={n} index={index}"
+    return f"PASS interlacing {pair}: {len(orders)} orders checked" if orders else None
 
 
-def run_verify(args):
-    if args.check == "interlacing":
-        return _verify_interlacing(args)
-    if args.pair is not None:
-        print(f"error: --check {args.check} takes no --pair", file=sys.stderr)
-        return 2
-    rows, noun, quantity, tol_name = _TOLERANCE_CHECKS[args.check]
+def _verify_tolerance(check, lo, hi):
+    rows, noun, quantity, tol_name = _TOLERANCE_CHECKS[check]
     tol = globals()[tol_name]
     worst = 0.0
     checked = 0
-    for where, value in rows(*args.n):
+    for where, value in rows(lo, hi):
         if value >= tol:
-            print(f"FAIL {args.check}: {where} {quantity}={value:.3g}")
-            return 1
+            return f"FAIL {check}: {where} {quantity}={value:.3g}"
         worst = max(worst, value)
         checked += 1
-    if not checked:
-        return _empty_range(args)
-    print(f"PASS {args.check}: {checked} {noun} checked, max {quantity} {worst:.3g}")
-    return 0
+    if checked:
+        return f"PASS {check}: {checked} {noun} checked, max {quantity} {worst:.3g}"
+    return None
+
+
+def run_verify(args):
+    """Print the check's PASS or first FAIL line; a range with no order valid
+    for the check is a usage error."""
+    if args.check == "interlacing":
+        if args.pair is None:
+            raise UsageError("interlacing requires --pair pz, wz or cz")
+        check, verdict = f"interlacing {args.pair}", _verify_interlacing(args.pair, *args.n)
+    elif args.pair is not None:
+        raise UsageError(f"--check {args.check} takes no --pair")
+    else:
+        check, verdict = args.check, _verify_tolerance(args.check, *args.n)
+    if not verdict:
+        lo, hi = args.n
+        raise UsageError(f"no order in {lo}..{hi} is valid for {check}")
+    print(verdict)
+    return 0 if verdict.startswith("PASS") else 1
 
 
 def run_scan(args):
@@ -240,17 +238,9 @@ def run_scan(args):
         except ValueError:
             tol = -1.0
         if not 0.0 <= tol <= sys.float_info.max:  # nan fails both comparisons
-            print(f"error: SPECTRA_TOL={env_tol!r} is not a finite number >= 0", file=sys.stderr)
-            return 2
-    if args.pair != "cz" and args.residue is None:
-        print(f"pair {args.pair} requires --residue 0..3", file=sys.stderr)
-        return 2
+            raise UsageError(f"SPECTRA_TOL={env_tol!r} is not a finite number >= 0")
     n_max = limits.DEFAULT_N_MAX if args.n_max is None else args.n_max
-    try:
-        estimate = limits.sequence_scan(args.pair, residue=args.residue, n_max=n_max)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    estimate = limits.sequence_scan(args.pair, residue=args.residue, n_max=n_max)
     if args.format == "json":
         _emit(estimate.to_json() + "\n", args.out)
     else:
@@ -276,15 +266,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="Eigenvalues of a family member")
-    sp.add_argument("--family", choices=["p", "c", "z", "w"])
+    sp.add_argument("--family", choices=[f.value for f in Family])
     sp.add_argument("--n", type=int)
-    sp.add_argument("--source", choices=["closed", "numeric", "both"], default="closed")
+    sp.add_argument("--source", choices=["closed", "numeric", "both"])
     sp.add_argument("--graph-file", help="edge-list file for the numeric oracle")
     sp.add_argument("--format", choices=["text", "csv", "json"], default="text")
     sp.add_argument("--out")
 
     dp = sub.add_parser("dist", help="Spectral distance of a pair at order n")
-    dp.add_argument("--pair", choices=["pz", "wz", "pw", "cz"], required=True)
+    dp.add_argument("--pair", choices=distance.PAIRS, required=True)
     dp.add_argument("--n", type=int, required=True)
     dp.add_argument("--mode", choices=["direct", "closed", "both"], default="direct")
     dp.add_argument("--format", choices=["text", "json"], default="text")
@@ -296,11 +286,11 @@ def build_parser():
         choices=["interlacing", "additivity", "oracle", "bipartite-symmetry"],
         required=True,
     )
-    vp.add_argument("--pair", choices=["pz", "wz", "cz"])
+    vp.add_argument("--pair", choices=[p for p in distance.PAIRS if p != "pw"])
     vp.add_argument("--n", type=_parse_range, required=True, help='inclusive range "a..b"')
 
     cp = sub.add_parser("scan", help="Scan a sigma sequence and extrapolate its limit")
-    cp.add_argument("--pair", choices=["pz", "wz", "pw", "cz"], required=True)
+    cp.add_argument("--pair", choices=distance.PAIRS, required=True)
     cp.add_argument("--residue", type=int, choices=[0, 1, 2, 3])
     cp.add_argument("--n-max", type=int)
     cp.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -312,7 +302,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"run_{args.command}"](args)
-    except (OrderTooSmallError, OrderTooLargeError, ResidueMismatchError, OSError) as exc:
+    except (UsageError, OrderTooSmallError, OrderTooLargeError, ResidueMismatchError,
+            InsufficientSamplesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an order too large for this machine's memory

@@ -48,26 +48,22 @@ def pair_min_order(pair: str) -> int:
     return _PAIR_MIN_ORDER[pair]
 
 
-def check_pair_order(pair: str, n: int, residue=None, closed: bool = False):
+def check_pair_order(pair: str, n: int, closed: bool = False):
     """Raise unless n is a valid order of the pair: at least its minimum
-    (OrderTooSmallError); even for cz, else n = residue (mod 4) when a residue
-    is given (ResidueMismatchError); at most MAX_CLOSED_ORDER for the closed
-    forms (OrderTooLargeError)."""
+    (OrderTooSmallError); even for cz (ResidueMismatchError); at most
+    MAX_CLOSED_ORDER for the closed forms (OrderTooLargeError)."""
     minimum = pair_min_order(pair)
     if n < minimum:
         raise OrderTooSmallError(f"pair {pair} requires n >= {minimum}")
-    if pair == "cz":
-        if n % 2 != 0:
-            raise ResidueMismatchError("pair cz requires an even order")
-    elif residue is not None and n % 4 != residue:
-        raise ResidueMismatchError(f"n={n} is not {residue} (mod 4)")
+    if pair == "cz" and n % 2 != 0:
+        raise ResidueMismatchError("pair cz requires an even order")
     if closed and n > MAX_CLOSED_ORDER:
         raise OrderTooLargeError(f"pair {pair} requires n <= {MAX_CLOSED_ORDER:.0e}")
 
 
 def pair_orders(pair: str, lo: int, hi: int, residue=None) -> range:
-    """The orders in lo..hi that check_pair_order accepts, ascending (the
-    closed-form bound aside)."""
+    """The orders in lo..hi that check_pair_order accepts (the closed-form
+    bound aside), ascending; with a residue, only those = residue (mod 4)."""
     start = max(lo, pair_min_order(pair))
     if pair == "cz":
         return range(start + start % 2, hi + 1, 2)

@@ -22,9 +22,13 @@ class ConvergenceError(RuntimeError):
 
 
 class ResidueMismatchError(ValueError):
-    """An order outside the class a pair or scan takes: odd for cz, or not
-    the requested residue mod 4."""
+    """An order outside the class a pair takes (odd for cz), or a scan of pz,
+    wz or pw without a residue 0..3."""
 
 
 class InsufficientSamplesError(ValueError):
     """Extrapolation was attempted with too few samples."""
+
+
+class UsageError(ValueError):
+    """A command-line request that the program cannot serve as asked."""

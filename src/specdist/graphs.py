@@ -152,19 +152,15 @@ def build_w(n: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def build_w_coalesced(n: int) -> Graph:
-    """W_n as the coalescence of Z_{n-2} and P_3, valid only for n >= 7.
-
-    The identified vertex of Z_{n-2} is its degree-1 spine end (vertex 0),
-    the only degree-1 vertex adjacent to a degree-2 vertex.  At n=6 that
-    vertex does not exist (Z_4 is a star), hence the stricter minimum.
-    """
-    if n < 7:
-        raise OrderTooSmallError("coalescence form of W requires n >= 7")
-    return coalesce(build_z(n - 2), 0, build_path(3), 1)
+def _check_dense_order(n: int):
+    if n > math.isqrt(MAX_ORDER):  # n^2 entries cannot fit one array
+        raise OrderTooLargeError(f"adjacency matrix requires n <= {math.isqrt(MAX_ORDER)}")
 
 
 def build_family(spec: FamilySpec) -> Graph:
+    """The family member as an edge set, for the dense oracle: an order whose
+    adjacency matrix cannot exist raises before any edge is built."""
+    _check_dense_order(spec.n)
     builders = {
         Family.PATH: build_path,
         Family.CYCLE: build_cycle,
@@ -176,8 +172,7 @@ def build_family(spec: FamilySpec) -> Graph:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix with zero diagonal."""
-    if g.n > math.isqrt(MAX_ORDER):  # its n^2 entries cannot fit one array
-        raise OrderTooLargeError(f"adjacency matrix requires n <= {math.isqrt(MAX_ORDER)}")
+    _check_dense_order(g.n)
     m = np.zeros((g.n, g.n))
     for u, v in g.edges:
         m[u, v] = 1.0

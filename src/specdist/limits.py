@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .distance import MAX_CLOSED_ORDER, pair_min_order, pair_orders, sigma_closed
-from .errors import InsufficientSamplesError, OrderTooSmallError
+from .errors import InsufficientSamplesError, OrderTooSmallError, ResidueMismatchError
 
 # (8 - 8*sqrt(2) + 2*pi) / pi, the shared limit of the pz and wz sequences.
 L_STAR = (8.0 - 8.0 * math.sqrt(2.0) + 2.0 * math.pi) / math.pi
@@ -71,7 +71,7 @@ def _scan_residue(pair: str, residue):
     if pair == "cz":
         return None
     if residue not in (0, 1, 2, 3):
-        raise ValueError(f"residue must be 0..3, got {residue!r}")
+        raise ResidueMismatchError(f"pair {pair} requires a residue 0..3, got {residue!r}")
     return residue
 
 
@@ -84,7 +84,7 @@ def default_grid(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> list[in
     residue = _scan_residue(pair, residue)
     start = pair_orders(pair, 0, MAX_CLOSED_ORDER, residue)[0]  # whatever n_max
     if start > n_max:
-        raise ValueError(f"n_max {n_max} below the smallest valid order {start}")
+        raise OrderTooSmallError(f"n_max {n_max} below the smallest valid order {start}")
     grid = [start]
     while orders := pair_orders(pair, 2 * grid[-1], n_max, residue):
         grid.append(orders[0])

@@ -51,12 +51,6 @@ class TestSpectrum:
         closed = [float(v) for v in lines[0].split()[1].split(",")]
         assert closed[0] == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
-    def test_both_has_no_csv_exit_2(self, capsys, tmp_path):
-        code, out, err = run(capsys, "spectrum", "--family", "p", "--n", "3",
-                             "--source", "both", "--format", "csv")
-        assert code == 2 and out == ""
-        assert err == "error: --source both has no csv format; use text or json\n"
-
     def test_graph_file_has_no_both_exit_2(self, capsys, tmp_path):
         graph_file = tmp_path / "p3.txt"
         graph_file.write_text(to_edge_list_text(build_path(3)))
@@ -67,15 +61,33 @@ class TestSpectrum:
             assert err == (
                 "error: a graph file has no closed spectrum; --source both needs --family\n"
             )
-        # the default source prints the numeric spectrum, as the other sources do
-        code, out, _ = run(capsys, "spectrum", "--graph-file", str(graph_file),
-                           "--format", "csv")
+        # the default source of a graph file is numeric
+        outputs = [
+            run(capsys, "spectrum", "--graph-file", str(graph_file), "--format", "csv", *source)
+            for source in ((), ("--source", "numeric"))
+        ]
+        assert outputs[0] == outputs[1]
+        code, out, _ = outputs[0]
         assert code == 0 and out.startswith("index,eigenvalue\n1,")
 
     def test_invalid_order_exit_2(self, capsys):
         code, _, err = run(capsys, "spectrum", "--family", "w", "--n", "5")
         assert code == 2
         assert "W requires n >= 6" in err
+
+    def test_numeric_source_builds_no_closed_spectrum(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.spectra, "closed_spectrum", None)
+        code, out, _ = run(capsys, "spectrum", "--family", "z", "--n", "4",
+                           "--source", "numeric")
+        assert code == 0 and len(out.split()) == 4
+
+    def test_numeric_order_without_a_matrix_exit_2(self, capsys):
+        # refused before an edge of the graph is built
+        n = math.isqrt(MAX_ORDER) + 1
+        code, out, err = run(capsys, "spectrum", "--family", "p", "--n", str(n),
+                             "--source", "numeric")
+        assert (code, out) == (2, "")
+        assert err == f"error: adjacency matrix requires n <= {n - 1}\n"
 
     def test_csv_output(self, capsys, tmp_path):
         out_file = tmp_path / "spec.csv"
@@ -305,16 +317,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", check, "--n", "4..6")
         assert code == 1 and out.startswith(f"FAIL {check}: family=p n=4 ")
 
-    @pytest.mark.parametrize("check", ["additivity", "oracle", "bipartite-symmetry"])
-    def test_pair_on_a_check_without_pairs_exit_2(self, capsys, check):
-        code, out, err = run(capsys, "verify", "--check", check, "--pair", "pz", "--n", "6..8")
-        assert code == 2 and out == ""
-        assert err == f"error: --check {check} takes no --pair\n"
-
-    def test_interlacing_needs_pair(self, capsys):
-        code, _, err = run(capsys, "verify", "--check", "interlacing", "--n", "4..10")
-        assert code == 2 and "pair" in err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -380,10 +382,6 @@ class TestScan:
             assert code == 2 and out == ""
             assert err == f"error: pair {pair} requires n <= 1e+150\n"
 
-    def test_missing_residue_exit_2(self, capsys):
-        code, _, err = run(capsys, "scan", "--pair", "pw", "--n-max", "1000")
-        assert code == 2 and "residue" in err
-
     def test_csv_byte_stable(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:
@@ -393,6 +391,59 @@ class TestScan:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestUsageErrors:
+    """Every misuse a handler or the modules below it detect ends with exit 2,
+    no output and one "error: " line on stderr."""
+
+    # (argv, SPECTRA_TOL, the line after "error: "); {p3} and {bad} are a
+    # valid and a malformed graph file
+    ROWS = [
+        (("spectrum", "--n", "5"), None,
+         "spectrum requires --family and --n (or --graph-file)"),
+        (("spectrum", "--family", "p", "--n", "3", "--source", "both", "--format", "csv"), None,
+         "--source both has no csv format; use text or json"),
+        (("spectrum", "--graph-file", "{p3}", "--source", "closed"), None,
+         "a graph file has no closed spectrum; --source closed needs --family"),
+        (("spectrum", "--graph-file", "{p3}", "--source", "both"), None,
+         "a graph file has no closed spectrum; --source both needs --family"),
+        (("spectrum", "--graph-file", "{bad}"), None,
+         """{bad}: line 2: expected "i j", got '0 x'"""),
+        (("verify", "--check", "interlacing", "--n", "4..10"), None,
+         "interlacing requires --pair pz, wz or cz"),
+        (("verify", "--check", "additivity", "--pair", "pz", "--n", "6..8"), None,
+         "--check additivity takes no --pair"),
+        (("verify", "--check", "oracle", "--pair", "wz", "--n", "6..8"), None,
+         "--check oracle takes no --pair"),
+        (("verify", "--check", "bipartite-symmetry", "--pair", "cz", "--n", "6..8"), None,
+         "--check bipartite-symmetry takes no --pair"),
+        (("verify", "--check", "interlacing", "--pair", "cz", "--n", "5..5"), None,
+         "no order in 5..5 is valid for interlacing cz"),
+        (("scan", "--pair", "pw", "--n-max", "1000"), None,
+         "pair pw requires a residue 0..3, got None"),
+        (("scan", "--pair", "cz", "--n-max", "1000"), "abc",
+         "SPECTRA_TOL='abc' is not a finite number >= 0"),
+        (("scan", "--pair", "pz", "--residue", "0", "--n-max", "3"), None,
+         "n_max 3 below the smallest valid order 4"),
+        (("scan", "--pair", "cz", "--n-max", "8"), None,
+         "extrapolation needs at least 3 samples"),
+        (("scan", "--pair", "pz", "--residue", "1", "--n-max", str(10**170)), None,
+         "pair pz requires n <= 1e+150"),
+    ]
+
+    @pytest.mark.parametrize("argv,env_tol,message", ROWS,
+                             ids=[" ".join(argv) for argv, _, _ in ROWS])
+    def test_one_error_line(self, capsys, monkeypatch, tmp_path, argv, env_tol, message):
+        files = {"p3": tmp_path / "p3.txt", "bad": tmp_path / "bad.txt"}
+        files["p3"].write_text(to_edge_list_text(build_path(3)))
+        files["bad"].write_text("n 3\n0 x\n")
+        if env_tol is None:
+            monkeypatch.delenv("SPECTRA_TOL", raising=False)
+        else:
+            monkeypatch.setenv("SPECTRA_TOL", env_tol)
+        code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+        assert (code, out, err) == (2, "", f"error: {message.format(**files)}\n")
 
 
 class TestParserReuse:

@@ -10,7 +10,6 @@ from specdist import (
     build_cycle,
     build_path,
     build_w,
-    build_w_coalesced,
     build_z,
     coalesce,
     from_edge_list_text,
@@ -151,14 +150,15 @@ class TestW:
         assert len(g.edges) == 9 and nx.is_connected(to_nx(g))
 
     def test_matches_coalescence_construction(self):
+        # W_n is Z_{n-2} with the center of P_3 on its degree-1 spine end
+        # (vertex 0); Z_4 is a star with no such end, hence n >= 7
         for n in range(7, 40):
-            assert nx.is_isomorphic(to_nx(build_w(n)), to_nx(build_w_coalesced(n)))
+            coalesced = coalesce(build_z(n - 2), 0, build_path(3), 1)
+            assert nx.is_isomorphic(to_nx(build_w(n)), to_nx(coalesced))
 
     def test_too_small(self):
         with pytest.raises(OrderTooSmallError):
             build_w(5)
-        with pytest.raises(OrderTooSmallError):
-            build_w_coalesced(6)
 
 
 class TestTreeInvariants:

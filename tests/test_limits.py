@@ -12,7 +12,7 @@ from specdist import (
     sigma_closed,
     target_constant,
 )
-from specdist.errors import InsufficientSamplesError, OrderTooSmallError
+from specdist.errors import InsufficientSamplesError, OrderTooSmallError, ResidueMismatchError
 
 
 class TestTargets:
@@ -89,10 +89,15 @@ class TestGrid:
                 ratios = [b / a for a, b in zip(grid, grid[1:]) if a >= 16]
                 assert all(1.7 <= q <= 2.3 for q in ratios)
 
+    def test_n_max_below_the_first_order_rejected(self):
+        with pytest.raises(OrderTooSmallError, match=r"^n_max 3 below the smallest valid order 4$"):
+            default_grid("pz", residue=0, n_max=3)
+
     def test_missing_residue_rejected(self):
-        with pytest.raises(ValueError):
+        message = r"^pair pz requires a residue 0\.\.3, got None$"
+        with pytest.raises(ResidueMismatchError, match=message):
             default_grid("pz", residue=None)
-        with pytest.raises(ValueError, match=r"^residue must be 0\.\.3, got None$"):
+        with pytest.raises(ResidueMismatchError, match=message):
             sequence_scan("pz", residue=None)
 
 

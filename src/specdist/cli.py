@@ -6,7 +6,9 @@ paths, 4 the Jacobi eigensolver exhausted its sweep budget.  Every exit 2 is
 one "error: ..." line that main() alone prints: handlers raise UsageError,
 and the modules' order, residue and sample errors pass through unchanged.
 SPECTRA_TOL overrides the scan acceptance tolerance.  spectrum's --source
-defaults to closed for --family and numeric for --graph-file.
+defaults to closed for --family and numeric for --graph-file.  verify decides
+interlacing and bipartite-symmetry exactly, in one loop; additivity and oracle
+compare float residuals with CONSISTENCY_TOL and ORACLE_TOL.
 
 main() builds the argument parser on its first call and reuses it for every
 later call in the process.  The parser holds no handler, tolerance or default
@@ -21,8 +23,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import distance, graphs, limits, spectra
 from .errors import (
     ConvergenceError,
@@ -36,8 +36,6 @@ from .graphs import Family, FamilySpec
 
 CONSISTENCY_TOL = 1e-9
 ORACLE_TOL = 1e-8
-ADDITIVITY_TOL = 1e-9
-SYMMETRY_TOL = 1e-9
 
 # default scan acceptance tolerances on |extrapolated - target|
 SCAN_TOL = {"pz": 1e-3, "wz": 1e-3, "cz": 1e-3, "pw": 2e-3}
@@ -168,32 +166,34 @@ def _oracle_rows(lo, hi):
             yield f"family={family.value} n={n}", deviation
 
 
-def _symmetry_rows(lo, hi):
-    for family in Family:
-        for n in graphs.family_orders(family, lo, hi):
-            if family is Family.CYCLE and n % 2 != 0:
-                continue  # odd cycles are not bipartite
-            values = spectra.closed_spectrum(FamilySpec(family, n))
-            asymmetry = float(np.max(np.abs(values + values[::-1])))
-            yield f"family={family.value} n={n}", asymmetry
-
-
 # check -> (rows over lo..hi as (where, value), noun, quantity, tolerance
 # name); the tolerance is looked up when the check runs
 _TOLERANCE_CHECKS = {
-    "additivity": (_additivity_rows, "orders", "residual", "ADDITIVITY_TOL"),
+    "additivity": (_additivity_rows, "orders", "residual", "CONSISTENCY_TOL"),
     "oracle": (_oracle_rows, "spectra", "deviation", "ORACLE_TOL"),
-    "bipartite-symmetry": (_symmetry_rows, "spectra", "asymmetry", "SYMMETRY_TOL"),
 }
 
 
-def _verify_interlacing(pair, lo, hi):
-    orders = distance.pair_orders(pair, lo, hi)
-    for n in orders:
-        index = distance.pattern_mismatch(pair, n)
+def _interlacing_rows(pair, lo, hi):
+    for n in distance.pair_orders(pair, lo, hi):
+        yield f"n={n}", distance.pattern_mismatch(pair, n)
+
+
+def _symmetry_rows(lo, hi):
+    for family in Family:
+        for n in graphs.family_orders(family, lo, hi):
+            if family is not Family.CYCLE or n % 2 == 0:  # odd cycles are not bipartite
+                yield f"family={family.value} n={n}", distance.symmetry_mismatch(family, n)
+
+
+def _verify_exact(check, rows, noun):
+    """PASS, or FAIL at the first row whose exact verdict names an index."""
+    checked = 0
+    for where, index in rows:
         if index is not None:
-            return f"FAIL interlacing {pair}: n={n} index={index}"
-    return f"PASS interlacing {pair}: {len(orders)} orders checked" if orders else None
+            return f"FAIL {check}: {where} index={index}"
+        checked += 1
+    return f"PASS {check}: {checked} {noun} checked" if checked else None
 
 
 def _verify_tolerance(check, lo, hi):
@@ -217,9 +217,12 @@ def run_verify(args):
     if args.check == "interlacing":
         if args.pair is None:
             raise UsageError("interlacing requires --pair pz, wz or cz")
-        check, verdict = f"interlacing {args.pair}", _verify_interlacing(args.pair, *args.n)
+        check = f"interlacing {args.pair}"
+        verdict = _verify_exact(check, _interlacing_rows(args.pair, *args.n), "orders")
     elif args.pair is not None:
         raise UsageError(f"--check {args.check} takes no --pair")
+    elif args.check == "bipartite-symmetry":
+        check, verdict = args.check, _verify_exact(args.check, _symmetry_rows(*args.n), "spectra")
     else:
         check, verdict = args.check, _verify_tolerance(args.check, *args.n)
     if not verdict:

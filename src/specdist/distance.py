@@ -312,16 +312,13 @@ def _on_class(pieces, start, step):
     return on_class
 
 
-def observed_pattern_runs(pair: str, n: int):
-    """Exact sign pattern of lambda_k(G1) - lambda_k(G2), from the angles
-    alone.  Each eigenvalue is 2 cos(pi num/den), which falls as num/den
-    rises, so the sign is that of num2 den1 - num1 den2; no tolerance enters.
-    Where both numerators are linear in k, so is that cross-product, and its
-    sign changes once at most.  The classes are those of the pieces' largest
-    step: the odd and the even k for cz, as the cycle's pieces step by 2."""
-    check_pair_order(pair, n, closed=True)
-    f1, f2 = _PAIR_FAMILIES[pair]
-    (pieces1, den1), (pieces2, den2) = angle_progressions(f1, n), angle_progressions(f2, n)
+def _pattern_runs(pieces1, den1, pieces2, den2):
+    """Exact sign pattern of lambda_k(G1) - lambda_k(G2) from two angle
+    progressions of one order.  Each eigenvalue is 2 cos(pi num/den), which
+    falls as num/den rises, so the sign is that of num2 den1 - num1 den2; no
+    tolerance enters.  Where both numerators are linear in k, so is that
+    cross-product, and its sign changes once at most.  The classes are those
+    of the pieces' largest step, so the cycle's odd and even k are two."""
     step = max(pieces1[0][2], pieces2[0][2])
     classes = []
     for start in range(1, step + 1):
@@ -336,6 +333,26 @@ def observed_pattern_runs(pair: str, n: int):
                     runs.append(run)
         classes.append(runs)
     return tuple(classes)
+
+
+def observed_pattern_runs(pair: str, n: int):
+    """Exact sign pattern of lambda_k(G1) - lambda_k(G2) at order n."""
+    check_pair_order(pair, n, closed=True)
+    f1, f2 = _PAIR_FAMILIES[pair]
+    return _pattern_runs(*angle_progressions(f1, n), *angle_progressions(f2, n))
+
+
+def symmetry_mismatch(family, n: int) -> int | None:
+    """1-based index of the first k where lambda_k != -lambda_{n+1-k} in the
+    family's closed spectrum at order n, or None when it is symmetric about 0,
+    as a bipartite graph's spectrum is.  Exact, for any order, in O(1)."""
+    pieces, den = angle_progressions(family, n)
+    # -lambda_{n+1-k} = 2 cos(pi (den - num_{n+1-k}) / den): the negated
+    # mirror of a piece (first, last, step, a, b) is linear in k again
+    mirror = tuple((n + 1 - last, n + 1 - first, step, den - a - b * (n + 1), b)
+                   for first, last, step, a, b in reversed(pieces))
+    return min((first for runs in _pattern_runs(pieces, den, mirror, den)
+                for first, _, code in runs if code), default=None)
 
 
 def expected_pattern_runs(pair: str, n: int):
@@ -374,9 +391,8 @@ def pattern_mismatch(pair: str, n: int) -> int | None:
     observed = observed_pattern_runs(pair, n)
     if observed == expected:
         return None
-    firsts = [first for runs in zip(observed, expected)
-              for first, _, x, y in _overlaps(*runs) if x[2] != y[2]]
-    return min(firsts) if firsts else None
+    return min((first for runs in zip(observed, expected)
+                for first, _, x, y in _overlaps(*runs) if x[2] != y[2]), default=None)
 
 
 def distance_report(pair: str, n: int) -> DistanceReport:

@@ -24,7 +24,11 @@ def closed_spectrum(spec: FamilySpec) -> np.ndarray:
     if not isinstance(spec, FamilySpec):
         raise TypeError("closed_spectrum expects a FamilySpec")
     pieces, den = angle_progressions(spec.family, spec.n)
-    nums = np.arange(1.0, spec.n + 1)  # k, turned into a + b k piece by piece
+    # k, turned into a + b k piece by piece; np.empty raises MemoryError for
+    # an order too large to hold, where np.arange near MAX_ORDER rounds its
+    # stop up and raises a plain ValueError
+    nums = np.empty(spec.n)
+    nums[:] = np.arange(1.0, spec.n + 1)
     for first, last, step, a, b in pieces:
         run = nums[first - 1 : last : step]
         run *= b

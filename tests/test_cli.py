@@ -173,6 +173,18 @@ class TestDist:
         assert code == 2 and out == ""
         assert err.startswith("error: P requires n <= ")
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--family", "p", "--n", str(MAX_ORDER)),
+        ("spectrum", "--family", "z", "--n", str(MAX_ORDER)),
+        ("spectrum", "--family", "p", "--n", str(MAX_ORDER - 64)),
+        ("dist", "--pair", "pz", "--n", str(MAX_ORDER), "--mode", "direct"),
+    ])
+    def test_largest_orders_out_of_memory_exit_2(self, capsys, argv):
+        # the spectrum's allocation fails at once, without touching memory
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
     def test_out_of_memory_exit_2(self, capsys, monkeypatch):
         def exhausted(pair, n):
             raise MemoryError("Unable to allocate 7.28 TiB")
@@ -265,24 +277,38 @@ class TestVerify:
         )
 
     def test_bipartite_symmetry(self, capsys):
-        asymmetries = []
+        checked = 0
         for family, minimum in MIN_ORDER.items():
             for n in range(minimum, 81):
                 if family == "c" and n % 2 != 0:
                     continue  # odd cycles are not bipartite
                 values = closed_spectrum(FamilySpec(family, n))
-                asymmetries.append(float(max(abs(values + values[::-1]))))
+                assert max(abs(values + values[::-1])) < 1e-9
+                checked += 1
         code, out, _ = run(
             capsys, "verify", "--check", "bipartite-symmetry", "--n", "1..80"
         )
-        assert code == 0
-        assert out == (
-            f"PASS bipartite-symmetry: {len(asymmetries)} spectra checked, "
-            f"max asymmetry {max(asymmetries):.3g}\n"
-        )
+        assert code == 0 and checked == 271
+        assert out == f"PASS bipartite-symmetry: {checked} spectra checked\n"
+
+    def test_symmetry_failure_line(self, capsys, monkeypatch):
+        progressions = distance.angle_progressions
+
+        def moved_middle(family, n):
+            # Z's middle piece is the zero at k = n//2 + 1, at odd n the
+            # mirror of itself: moving its numerator breaks that k alone
+            pieces, den = progressions(family, n)
+            if family == "z" and n >= 9:
+                first, last, step, a, b = pieces[1]
+                pieces = (pieces[0], (first, last, step, a + 1, b), pieces[2])
+            return pieces, den
+
+        monkeypatch.setattr(distance, "angle_progressions", moved_middle)
+        code, out, _ = run(capsys, "verify", "--check", "bipartite-symmetry", "--n", "4..60")
+        assert code == 1 and out == "FAIL bipartite-symmetry: family=z n=9 index=5\n"
 
     def test_additivity_failure_line(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ADDITIVITY_TOL", 0.0)
+        monkeypatch.setattr(cli, "CONSISTENCY_TOL", 0.0)
         code, out, _ = run(capsys, "verify", "--check", "additivity", "--n", "1..60")
         residual = distance.check_additivity(6)
         assert code == 1 and out == f"FAIL additivity: n=6 residual={residual:.3g}\n"
@@ -309,13 +335,10 @@ class TestVerify:
             )
             assert code == 1 and out == f"FAIL interlacing {pair}: n=10 index=3\n"
 
-    @pytest.mark.parametrize(
-        "check,tol", [("oracle", "ORACLE_TOL"), ("bipartite-symmetry", "SYMMETRY_TOL")]
-    )
-    def test_failure_names_family_code(self, capsys, monkeypatch, check, tol):
-        monkeypatch.setattr(cli, tol, 0.0)
-        code, out, _ = run(capsys, "verify", "--check", check, "--n", "4..6")
-        assert code == 1 and out.startswith(f"FAIL {check}: family=p n=4 ")
+    def test_failure_names_family_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ORACLE_TOL", 0.0)
+        code, out, _ = run(capsys, "verify", "--check", "oracle", "--n", "4..6")
+        assert code == 1 and out.startswith("FAIL oracle: family=p n=4 ")
 
     @pytest.mark.parametrize(
         "argv",

@@ -26,9 +26,11 @@ from specdist.distance import (
     MAX_CLOSED_ORDER,
     PAIRS,
     _residue_bounds,
+    _sin_diff,
     pair_min_order,
     pair_orders,
     pair_spectra,
+    symmetry_mismatch,
 )
 from specdist.errors import LengthMismatchError, OrderTooLargeError, OrderTooSmallError
 from specdist.graphs import MIN_ORDER
@@ -72,6 +74,37 @@ class TestSigma:
         # the closed spectra come sorted: sorting them again changes no bit
         for n in pair_orders(pair, 1, 1000):
             assert sigma_direct(pair, n) == sigma(*pair_spectra(pair, n)), n
+
+
+# dominant-first families (G, H) of sigma_closed's Lagrange prefix sums
+_PREFIX_FAMILIES = {"pz": ("z", "p"), "wz": ("w", "z")}
+
+
+def _sigma_from_progressions(pair, n):
+    """sigma_closed's prefix sums with every angle taken from the first piece
+    (a, b over den) of each family's angle progression instead of restated:
+    u = 2a + b(2K + 1) gives the sine argument u pi/(2 den) at K, and each
+    angle difference is one exact integer over 2 den_G den_H."""
+    if pair == "pw":
+        return _sigma_from_progressions("pz", n) + _sigma_from_progressions("wz", n)
+    (pieces_g, dg), (pieces_h, dh) = (
+        spectra.angle_progressions(family, n) for family in _PREFIX_FAMILIES[pair]
+    )
+    (*_, ag, bg), (*_, ah, bh) = pieces_g[0], pieces_h[0]
+    alpha, beta = bg * math.pi / (2 * dg), bh * math.pi / (2 * dh)
+    coeff = _sin_diff(beta, alpha, (bh * dg - bg * dh) * math.pi / (2 * dg * dh)) / (
+        2.0 * math.sin(alpha) * math.sin(beta)
+    )
+    offset = (2 * ah + bh) / (2 * bh) - (2 * ag + bg) / (2 * bg)
+
+    def prefix(K):
+        ug, uh = 2 * ag + bg * (2 * K + 1), 2 * ah + bh * (2 * K + 1)
+        x, y = ug * math.pi / (2 * dg), uh * math.pi / (2 * dh)
+        x_minus_y = (ug * dh - uh * dg) * math.pi / (2 * dg * dh)
+        return offset + (coeff * math.sin(x) + _sin_diff(x, y, x_minus_y) / (2.0 * math.sin(beta)))
+
+    k1_hi, k2_lo, k2_hi, _ = _residue_bounds(pair, n)
+    return 4.0 * (prefix(k1_hi) + prefix(k2_lo - 1) - prefix(k2_hi))
 
 
 class TestClosedSums:
@@ -121,6 +154,17 @@ class TestClosedSums:
     def test_order_too_large(self, pair):
         with pytest.raises(OrderTooLargeError):
             sigma_closed(pair, MAX_CLOSED_ORDER + 2)
+
+    @pytest.mark.parametrize("pair", ["pz", "wz", "pw"])
+    def test_angles_are_the_progressions(self, pair):
+        # sigma_closed states the first pieces' angles again; each of its
+        # arguments equals the progressions' up to a power-of-two scale, so
+        # the two agree bitwise
+        rng = random.Random(2010)
+        orders = [*pair_orders(pair, 1, 4999)]
+        orders += [rng.randrange(10**e, 10**(e + 1)) for e in range(5, 150) for _ in range(3)]
+        for n in orders:
+            assert sigma_closed(pair, n) == _sigma_from_progressions(pair, n), n
 
 
 # Upper-half eigenvalues over 2 as mpmath functions of (k, n, pi): the terms
@@ -509,6 +553,49 @@ class TestO1Verdict:
                     distance, "expected_pattern_runs", lambda p, m, c=classes: c
                 )
                 assert pattern_mismatch(pair, n) == k, (pair, n, k)
+
+
+class TestSymmetryVerdict:
+    """symmetry_mismatch against the dense angles and the float spectra."""
+
+    @pytest.mark.parametrize("family", ["p", "c", "z", "w"])
+    def test_every_order_to_2000(self, family):
+        for n in range(MIN_ORDER[family], 2001):
+            nums, den = _angles(family, n)
+            values = closed_spectrum(FamilySpec(family, n))
+            symmetric = np.max(np.abs(values + values[::-1])) < 1e-9
+            index = symmetry_mismatch(family, n)
+            assert index == _dense_mismatch(nums + nums[::-1], den), n
+            assert (index is None) == symmetric, n
+            assert symmetric == (family != "c" or n % 2 == 0), n
+
+    def test_injected_departure_is_found(self, monkeypatch):
+        # move one piece's numerator by 1; the verdict must name the first k
+        # where the dense angles, moved the same way, lose nums_k + nums_{n+1-k} = den
+        progressions = spectra.angle_progressions
+        rng = random.Random(9)
+        for family in "pczw":
+            for n in rng.sample(range(MIN_ORDER[family], 400), 30):
+                pieces, den = progressions(family, n)
+                i, delta = rng.randrange(len(pieces)), rng.choice((-1, 1))
+                first, last, step, a, b = pieces[i]
+                moved = pieces[:i] + ((first, last, step, a + delta, b),) + pieces[i + 1 :]
+                monkeypatch.setattr(
+                    distance, "angle_progressions", lambda f, m, p=moved: (p, den)
+                )
+                nums, _ = _angles(family, n)
+                nums[first - 1 : last : step] += delta
+                dense = _dense_mismatch(nums + nums[::-1], den)
+                assert dense is not None
+                assert symmetry_mismatch(family, n) == dense, (family, n, i)
+
+    def test_huge_orders_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(spectra, "np", None)
+        monkeypatch.setattr(distance, "np", None)
+        for n in (MAX_CLOSED_ORDER, 2**60 - 1):  # the second is graphs.MAX_ORDER
+            for family in "pzw":
+                assert symmetry_mismatch(family, n) is None, (family, n)
+            assert symmetry_mismatch("c", n) == (1 if n % 2 else None), n
 
 
 class TestPatternSigma:

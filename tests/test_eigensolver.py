@@ -13,11 +13,25 @@ from specdist import (
     eigensolver,
     spectrum_deviation,
 )
-from specdist.eigensolver import available_backends, symmetric_eigenvalues
+from specdist.eigensolver import symmetric_eigenvalues
 from specdist.errors import ConvergenceError, NonSymmetricMatrixError
 from specdist.graphs import MIN_ORDER
 
-BACKENDS = available_backends()
+# each kernel of this build by backend name; a test picks one by rebinding
+# eigensolver.jacobi_sweeps, which symmetric_eigenvalues reads at each call
+KERNELS = {"pure": _jacobi_py.jacobi_sweeps}
+if eigensolver._compiled_sweeps is not None:
+    KERNELS = {"compiled": eigensolver._compiled_sweeps, **KERNELS}
+BACKENDS = list(KERNELS)
+
+
+def _bind(monkeypatch, backend):
+    monkeypatch.setattr(eigensolver, "jacobi_sweeps", KERNELS[backend])
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request, monkeypatch):
+    _bind(monkeypatch, request.param)
 
 
 def _random_connected_adjacency(rng, n, extra):
@@ -47,20 +61,20 @@ def test_compiled_kernel_is_available():
     assert "compiled" in BACKENDS
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("backend")
 class TestJacobi:
-    def test_p2(self, backend):
-        values = np.sort(symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]], backend=backend))
+    def test_p2(self):
+        values = np.sort(symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(values, [-1.0, 1.0], atol=1e-12)
 
-    def test_k3(self, backend):
+    def test_k3(self):
         m = np.ones((3, 3)) - np.eye(3)
-        values = np.sort(symmetric_eigenvalues(m, backend=backend))
+        values = np.sort(symmetric_eigenvalues(m))
         assert np.allclose(values, [-1.0, -1.0, 2.0], atol=1e-12)
 
-    def test_z5_matches_cosine_values(self, backend):
+    def test_z5_matches_cosine_values(self):
         m = adjacency_matrix(build_family(FamilySpec("z", 5)))
-        values = np.sort(symmetric_eigenvalues(m, backend=backend))[::-1]
+        values = np.sort(symmetric_eigenvalues(m))[::-1]
         expected = [
             2 * math.cos(math.pi / 8),
             2 * math.cos(3 * math.pi / 8),
@@ -72,33 +86,32 @@ class TestJacobi:
         assert abs(values[0] - 1.84776) < 1e-5
         assert abs(values[1] - 0.76537) < 1e-5
 
-    def test_diagonal_matrix_unchanged(self, backend):
-        values = symmetric_eigenvalues(np.diag([3.0, -1.0, 0.5]), backend=backend)
+    def test_diagonal_matrix_unchanged(self):
+        values = symmetric_eigenvalues(np.diag([3.0, -1.0, 0.5]))
         assert np.allclose(np.sort(values), [-1.0, 0.5, 3.0], atol=0)
 
-    def test_single_entry(self, backend):
-        assert np.array_equal(symmetric_eigenvalues([[4.0]], backend=backend), [4.0])
+    def test_single_entry(self):
+        assert np.array_equal(symmetric_eigenvalues([[4.0]]), [4.0])
 
-    def test_rejects_non_symmetric(self, backend):
+    def test_rejects_non_symmetric(self):
         with pytest.raises(NonSymmetricMatrixError):
-            symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]], backend=backend)
+            symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
 
-    def test_rejects_non_square(self, backend):
+    def test_rejects_non_square(self):
         with pytest.raises(NonSymmetricMatrixError):
-            symmetric_eigenvalues(np.zeros((2, 3)), backend=backend)
+            symmetric_eigenvalues(np.zeros((2, 3)))
 
-    def test_sweep_budget_exhaustion(self, backend, monkeypatch):
+    def test_sweep_budget_exhaustion(self, monkeypatch):
         m = adjacency_matrix(build_family(FamilySpec("p", 30)))
-        with pytest.raises(ConvergenceError):
-            symmetric_eigenvalues(m, max_sweeps=1, backend=backend)
-        # the default budget is read when the solver is called
+        assert symmetric_eigenvalues(m).shape == (30,)
+        # the budget is read when the solver is called
         monkeypatch.setattr(eigensolver, "SWEEP_BUDGET", 1)
         with pytest.raises(ConvergenceError):
-            symmetric_eigenvalues(m, backend=backend)
+            symmetric_eigenvalues(m)
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel unavailable")
-def test_backends_agree():
+def test_backends_agree(monkeypatch):
     # odd orders leave one index idle per round of the fallback's ordering
     families = [
         ("p", 25), ("c", 24), ("z", 25), ("w", 25),
@@ -108,8 +121,10 @@ def test_backends_agree():
     rng = random.Random(7)
     matrices += [_random_connected_adjacency(rng, 29, 20), _random_connected_adjacency(rng, 32, 45)]
     for m in matrices:
-        compiled = np.sort(symmetric_eigenvalues(m, backend="compiled"))
-        pure = np.sort(symmetric_eigenvalues(m, backend="pure"))
+        _bind(monkeypatch, "compiled")
+        compiled = np.sort(symmetric_eigenvalues(m))
+        _bind(monkeypatch, "pure")
+        pure = np.sort(symmetric_eigenvalues(m))
         assert np.max(np.abs(compiled - pure)) < 1e-10
 
 
@@ -187,18 +202,19 @@ def test_pure_sweep_counts_unchanged():
     assert random_runs == [(True, sweeps) for sweeps in _LABEL_ORDER_RANDOM_SWEEPS]
 
 
-def test_pure_backend_returns_input_order():
+def test_pure_backend_returns_input_order(monkeypatch):
+    _bind(monkeypatch, "pure")
     # the working copy is stored in each round's pair order; no permutation
     # may leak into the unsorted result
     d = [3.0, -1.0, 0.5, 2.0, 7.0]
-    assert np.array_equal(symmetric_eigenvalues(np.diag(d), backend="pure"), d)
+    assert np.array_equal(symmetric_eigenvalues(np.diag(d)), d)
     # weak couplings make the rounds run; the entries are distinct integers,
     # so each eigenvalue lies within the coupling's norm of its own entry (Weyl)
     rng = random.Random(3)
     for n in range(2, 13):
         d = np.array(rng.sample(range(-3 * n, 3 * n), n), dtype=np.float64)
         coupling = 0.01 * _random_connected_adjacency(rng, n, n)
-        values = symmetric_eigenvalues(np.diag(d) + coupling, backend="pure")
+        values = symmetric_eigenvalues(np.diag(d) + coupling)
         assert np.max(np.abs(values - d)) <= np.linalg.norm(coupling, 2), n
 
 
@@ -217,22 +233,24 @@ _BUDGET_MATRICES = [
         (1, [(False, 1), (True, 1), (True, 0), (True, 0)]),
     ],
 )
-def test_pure_sweep_budget(max_sweeps, expected):
+def test_pure_sweep_budget(max_sweeps, expected, monkeypatch):
+    _bind(monkeypatch, "pure")
+    monkeypatch.setattr(eigensolver, "SWEEP_BUDGET", max_sweeps)
     for m, want in zip(_BUDGET_MATRICES, expected):
         assert _fallback_run(m, max_sweeps) == want
         if want[0]:
-            values = symmetric_eigenvalues(m, max_sweeps=max_sweeps, backend="pure")
-            assert values.shape == (len(m),)
+            assert symmetric_eigenvalues(m).shape == (len(m),)
         else:
             with pytest.raises(ConvergenceError):
-                symmetric_eigenvalues(m, max_sweeps=max_sweeps, backend="pure")
+                symmetric_eigenvalues(m)
 
 
-def test_pure_backend_matches_closed_spectra():
+def test_pure_backend_matches_closed_spectra(monkeypatch):
+    _bind(monkeypatch, "pure")
     # criterion 4's bounds, on the fallback, for every family at n <= 60
     worst_dev = worst_trace = worst_sumsq = 0.0
     for spec, m in _family_matrices(1, 60):
-        numeric = np.sort(symmetric_eigenvalues(m, backend="pure"))[::-1]
+        numeric = np.sort(symmetric_eigenvalues(m))[::-1]
         worst_dev = max(worst_dev, spectrum_deviation(closed_spectrum(spec), numeric))
         worst_trace = max(worst_trace, abs(float(np.sum(numeric))))
         # the sum of squares is the adjacency matrix's sum, twice the edge count
@@ -262,7 +280,3 @@ def test_compiled_kernel_rejects_bad_buffers(a):
     with pytest.raises(ValueError):
         jacobi_sweeps(a, 10, 1e-12)
 
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        symmetric_eigenvalues([[0.0]], backend="lapack")

@@ -16,12 +16,7 @@ from .graphs import (
     FamilySpec,
     Graph,
     adjacency_matrix,
-    build_cycle,
     build_family,
-    build_path,
-    build_w,
-    build_z,
-    coalesce,
     from_edge_list_text,
     to_edge_list_text,
 )

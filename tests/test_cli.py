@@ -11,12 +11,12 @@ from specdist import (
     FamilySpec,
     adjacency_matrix,
     build_family,
-    build_path,
     cli,
     closed_spectrum,
     default_grid,
     distance,
     eigensolver,
+    graphs,
     limits,
     numeric_spectrum,
     spectrum_deviation,
@@ -53,7 +53,7 @@ class TestSpectrum:
 
     def test_graph_file_has_no_both_exit_2(self, capsys, tmp_path):
         graph_file = tmp_path / "p3.txt"
-        graph_file.write_text(to_edge_list_text(build_path(3)))
+        graph_file.write_text(to_edge_list_text(build_family(FamilySpec("p", 3))))
         for fmt in ("text", "csv", "json"):
             code, out, err = run(capsys, "spectrum", "--graph-file", str(graph_file),
                                  "--source", "both", "--format", fmt)
@@ -101,7 +101,7 @@ class TestSpectrum:
 
     def test_graph_file_oracle(self, capsys, tmp_path):
         graph_file = tmp_path / "p4.txt"
-        graph_file.write_text(to_edge_list_text(build_path(4)))
+        graph_file.write_text(to_edge_list_text(build_family(FamilySpec("p", 4))))
         code, out, _ = run(
             capsys, "spectrum", "--graph-file", str(graph_file), "--source", "numeric"
         )
@@ -181,6 +181,20 @@ class TestDist:
     ])
     def test_largest_orders_out_of_memory_exit_2(self, capsys, argv):
         # the spectrum's allocation fails at once, without touching memory
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--family", "p", "--n", "1000000", "--source", "numeric"),
+        ("verify", "--check", "oracle", "--n", "1000000..1000000"),
+    ])
+    def test_matrix_out_of_memory_before_any_edge_exit_2(self, capsys, monkeypatch, argv):
+        # the n x n reservation fails at once, before a graph is built
+        def no_graph(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(graphs, "Graph", no_graph)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
@@ -382,6 +396,21 @@ class TestScan:
         payload = json.loads(out)
         assert abs(payload["extrapolated"] - 0.9452) < 1e-3
 
+    @pytest.mark.parametrize("residue,orders", [
+        (0, [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536]),
+        (2, [2**k - 2 for k in range(3, 17)]),
+    ])
+    def test_cz_residue_scan(self, capsys, residue, orders):
+        code, out, _ = run(
+            capsys, "scan", "--pair", "cz", "--residue", str(residue), "--n-max", "100000",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["residue"] == residue
+        assert [n for n, _ in payload["samples"]] == orders
+        assert payload["abs_error"] < 1e-8
+
     def test_env_tolerance_failure(self, capsys, monkeypatch):
         monkeypatch.setenv("SPECTRA_TOL", "1e-15")
         code, out, _ = run(capsys, "scan", "--pair", "cz", "--n-max", "10000")
@@ -453,13 +482,17 @@ class TestUsageErrors:
          "extrapolation needs at least 3 samples"),
         (("scan", "--pair", "pz", "--residue", "1", "--n-max", str(10**170)), None,
          "pair pz requires n <= 1e+150"),
+        (("scan", "--pair", "cz", "--residue", "1", "--n-max", "1000"), None,
+         "pair cz takes a residue 0 or 2, got 1"),
+        (("scan", "--pair", "cz", "--residue", "3", "--n-max", "1000"), None,
+         "pair cz takes a residue 0 or 2, got 3"),
     ]
 
     @pytest.mark.parametrize("argv,env_tol,message", ROWS,
                              ids=[" ".join(argv) for argv, _, _ in ROWS])
     def test_one_error_line(self, capsys, monkeypatch, tmp_path, argv, env_tol, message):
         files = {"p3": tmp_path / "p3.txt", "bad": tmp_path / "bad.txt"}
-        files["p3"].write_text(to_edge_list_text(build_path(3)))
+        files["p3"].write_text(to_edge_list_text(build_family(FamilySpec("p", 3))))
         files["bad"].write_text("n 3\n0 x\n")
         if env_tol is None:
             monkeypatch.delenv("SPECTRA_TOL", raising=False)

@@ -7,15 +7,16 @@ from specdist import (
     FamilySpec,
     Graph,
     adjacency_matrix,
-    build_cycle,
-    build_path,
-    build_w,
-    build_z,
-    coalesce,
+    build_family,
     from_edge_list_text,
     to_edge_list_text,
 )
-from specdist.errors import OrderTooSmallError
+from specdist.errors import OrderTooLargeError, OrderTooSmallError
+from specdist.graphs import MAX_ORDER, MIN_ORDER
+
+
+def build(family, n):
+    return build_family(FamilySpec(family, n))
 
 
 def to_nx(g):
@@ -28,6 +29,36 @@ def to_nx(g):
 def degree_sequence(g):
     """Vertex degrees by networkx, sorted descending."""
     return sorted((d for _, d in to_nx(g).degree), reverse=True)
+
+
+def coalescence(g, u, h, v):
+    """networkx graph g with its vertex u identified with vertex v of h."""
+    return nx.contracted_nodes(nx.disjoint_union(g, h), u, len(g) + v)
+
+
+def z_reference(n):
+    """The paper's Z_n: an end of P_{n-2} coalesced with the centre of P_3."""
+    return coalescence(nx.path_graph(n - 2), n - 3, nx.path_graph(3), 1)
+
+
+def w_reference(n):
+    """The paper's W_n: Z_{n-2}'s degree-1 vertex 0, whose neighbour has
+    degree 2, coalesced with the centre of P_3."""
+    z = z_reference(n - 2)
+    assert z.degree[0] == 1 and z.degree[next(iter(z[0]))] == 2
+    return coalescence(z, 0, nx.path_graph(3), 1)
+
+
+def expected_edges(family, n):
+    """Each family's edge set written out: the spine 0..s-1 in order plus the
+    edges at its ends."""
+    s, added = {
+        "p": (n, set()),
+        "c": (n, {(0, n - 1)}),
+        "z": (n - 2, {(n - 3, n - 2), (n - 3, n - 1)}),
+        "w": (n - 4, {(0, n - 4), (0, n - 3), (n - 5, n - 2), (n - 5, n - 1)}),
+    }[family]
+    return {(i, i + 1) for i in range(s - 1)} | added
 
 
 class TestGraphType:
@@ -46,154 +77,170 @@ class TestGraphType:
 
 class TestPath:
     def test_single_vertex(self):
-        g = build_path(1)
+        g = build("p", 1)
         assert g.n == 1 and len(g.edges) == 0
 
     def test_two_vertices(self):
-        assert build_path(2).edges == frozenset([(0, 1)])
+        assert build("p", 2).edges == frozenset([(0, 1)])
 
     def test_degree_sequence(self):
-        assert degree_sequence(build_path(5)) == [2, 2, 2, 1, 1]
+        assert degree_sequence(build("p", 5)) == [2, 2, 2, 1, 1]
 
     def test_too_small(self):
         with pytest.raises(OrderTooSmallError):
-            build_path(0)
+            build("p", 0)
 
 
 class TestCycle:
     def test_triangle(self):
-        g = build_cycle(3)
+        g = build("c", 3)
         assert len(g.edges) == 3
 
     def test_four_cycle_regular(self):
-        assert degree_sequence(build_cycle(4)) == [2, 2, 2, 2]
+        assert degree_sequence(build("c", 4)) == [2, 2, 2, 2]
 
     def test_six_cycle(self):
-        g = build_cycle(6)
+        g = build("c", 6)
         assert len(g.edges) == 6
         assert degree_sequence(g) == [2] * 6
         assert nx.is_connected(to_nx(g))
 
     def test_too_small(self):
         with pytest.raises(OrderTooSmallError):
-            build_cycle(2)
-
-
-class TestCoalesce:
-    def test_paths_concatenate(self):
-        g = coalesce(build_path(2), 1, build_path(2), 0)
-        assert nx.is_isomorphic(to_nx(g), to_nx(build_path(3)))
-
-    def test_star_from_p2_and_p3(self):
-        g = coalesce(build_path(2), 0, build_path(3), 1)
-        assert sorted(degree_sequence(g), reverse=True) == [3, 1, 1, 1]
-        assert nx.is_isomorphic(to_nx(g), to_nx(build_z(4)))
-
-    def test_z6_from_p4_and_p3(self):
-        g = coalesce(build_path(4), 3, build_path(3), 1)
-        assert degree_sequence(g) == [3, 2, 2, 1, 1, 1]
-        assert nx.is_isomorphic(to_nx(g), to_nx(build_z(6)))
-
-    def test_vertex_count_and_identified_degree(self):
-        g, h = build_path(5), build_cycle(4)
-        merged = coalesce(g, 2, h, 0)
-        assert merged.n == g.n + h.n - 1
-        assert len(merged.edges) == len(g.edges) + len(h.edges)
-        assert to_nx(merged).degree[2] == to_nx(g).degree[2] + to_nx(h).degree[0]
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            coalesce(build_path(3), 3, build_path(3), 0)
-        with pytest.raises(IndexError):
-            coalesce(build_path(3), 0, build_path(3), -1)
+            build("c", 2)
 
 
 class TestZ:
     def test_z4_is_star(self):
-        assert degree_sequence(build_z(4)) == [3, 1, 1, 1]
+        assert degree_sequence(build("z", 4)) == [3, 1, 1, 1]
 
     def test_z5_degrees(self):
-        assert degree_sequence(build_z(5)) == [3, 2, 1, 1, 1]
+        assert degree_sequence(build("z", 5)) == [3, 2, 1, 1, 1]
 
     def test_z8_structure(self):
-        g = build_z(8)
+        g = build("z", 8)
         degs = degree_sequence(g)
         assert len(g.edges) == 7
         assert degs.count(3) == 1 and degs.count(1) == 3
 
     def test_matches_coalescence_construction(self):
-        # the spine 0..n-3 with pendants n-2 and n-1 on its end n-3
-        for n in range(4, 40):
-            spine = {(i, i + 1) for i in range(n - 3)}
-            assert build_z(n).edges == spine | {(n - 3, n - 2), (n - 3, n - 1)}
+        for n in range(4, 60):
+            assert nx.is_isomorphic(to_nx(build("z", n)), z_reference(n))
 
     def test_too_small(self):
         with pytest.raises(OrderTooSmallError):
-            build_z(3)
+            build("z", 3)
 
 
 class TestW:
     def test_w6_is_h_shape(self):
-        g = build_w(6)
+        g = build("w", 6)
         assert degree_sequence(g) == [3, 3, 1, 1, 1, 1]
         # the two degree-3 vertices are adjacent
         assert (0, 1) in g.edges
 
     def test_w7_degrees(self):
-        assert degree_sequence(build_w(7)) == [3, 3, 2, 1, 1, 1, 1]
+        assert degree_sequence(build("w", 7)) == [3, 3, 2, 1, 1, 1, 1]
 
     def test_w8_degrees(self):
-        assert degree_sequence(build_w(8)) == [3, 3, 2, 2, 1, 1, 1, 1]
+        assert degree_sequence(build("w", 8)) == [3, 3, 2, 2, 1, 1, 1, 1]
 
     def test_w10_is_tree(self):
-        g = build_w(10)
+        g = build("w", 10)
         assert len(g.edges) == 9 and nx.is_connected(to_nx(g))
 
     def test_matches_coalescence_construction(self):
-        # W_n is Z_{n-2} with the center of P_3 on its degree-1 spine end
-        # (vertex 0); Z_4 is a star with no such end, hence n >= 7
-        for n in range(7, 40):
-            coalesced = coalesce(build_z(n - 2), 0, build_path(3), 1)
-            assert nx.is_isomorphic(to_nx(build_w(n)), to_nx(coalesced))
+        # Z_4 is a star with no degree-1 vertex next to a degree-2 one,
+        # hence n >= 7
+        for n in range(7, 60):
+            assert nx.is_isomorphic(to_nx(build("w", n)), w_reference(n))
 
     def test_too_small(self):
         with pytest.raises(OrderTooSmallError):
-            build_w(5)
+            build("w", 5)
+
+
+class TestEdgeSets:
+    @pytest.mark.parametrize("family", "pczw")
+    def test_labels_pinned(self, family):
+        for n in range(MIN_ORDER[Family(family)], 2001):
+            assert build(family, n).edges == expected_edges(family, n)
+
+    def test_order_messages(self):
+        for family, label in [("p", "P"), ("c", "C"), ("z", "Z"), ("w", "W")]:
+            minimum = MIN_ORDER[Family(family)]
+            with pytest.raises(OrderTooSmallError, match=rf"^{label} requires n >= {minimum}$"):
+                FamilySpec(family, minimum - 1)
+            with pytest.raises(OrderTooLargeError, match=rf"^{label} requires n <= {MAX_ORDER}$"):
+                FamilySpec(family, MAX_ORDER + 1)
+
+
+class TestStructuralSteps:
+    """Removing a spine end or edge leaves a smaller family member, for n < 60."""
+
+    @staticmethod
+    def minus(g, *vertices):
+        h = to_nx(g)
+        h.remove_nodes_from(vertices)
+        return h
+
+    def test_path_minus_end(self):
+        for n in range(2, 60):
+            assert nx.is_isomorphic(self.minus(build("p", n), 0), to_nx(build("p", n - 1)))
+
+    def test_cycle_minus_vertex(self):
+        for n in range(3, 60):
+            assert nx.is_isomorphic(self.minus(build("c", n), 0), to_nx(build("p", n - 1)))
+
+    def test_z_minus_spine_end(self):
+        for n in range(5, 60):
+            assert nx.is_isomorphic(self.minus(build("z", n), 0), to_nx(build("z", n - 1)))
+        for n in range(6, 60):
+            assert nx.is_isomorphic(self.minus(build("z", n), 0, 1), to_nx(build("z", n - 2)))
+
+    def test_w_minus_edge_splits_into_p3_and_z(self):
+        for n in range(7, 60):
+            h = to_nx(build("w", n))
+            h.remove_edge(0, 1)
+            star, rest = (h.subgraph(c) for c in nx.connected_components(h))
+            assert 0 in star and star.degree[0] == 2
+            assert nx.is_isomorphic(star, nx.path_graph(3))
+            assert nx.is_isomorphic(rest, to_nx(build("z", n - 3)))
 
 
 class TestTreeInvariants:
     @pytest.mark.parametrize("n", range(4, 60))
     def test_z_is_tree(self, n):
-        g = build_z(n)
+        g = build("z", n)
         assert len(g.edges) == n - 1 and nx.is_connected(to_nx(g))
 
     @pytest.mark.parametrize("n", range(6, 60))
     def test_w_is_tree(self, n):
-        g = build_w(n)
+        g = build("w", n)
         assert len(g.edges) == n - 1 and nx.is_connected(to_nx(g))
 
     def test_bipartite_families(self):
         for n in range(4, 30):
-            assert nx.is_bipartite(to_nx(build_path(n)))
-            assert nx.is_bipartite(to_nx(build_z(n)))
+            assert nx.is_bipartite(to_nx(build("p", n)))
+            assert nx.is_bipartite(to_nx(build("z", n)))
             if n >= 6:
-                assert nx.is_bipartite(to_nx(build_w(n)))
+                assert nx.is_bipartite(to_nx(build("w", n)))
             if n % 2 == 0:
-                assert nx.is_bipartite(to_nx(build_cycle(n)))
+                assert nx.is_bipartite(to_nx(build("c", n)))
             else:
-                assert not nx.is_bipartite(to_nx(build_cycle(n)))
+                assert not nx.is_bipartite(to_nx(build("c", n)))
 
 
 class TestAdjacency:
     def test_p2(self):
-        assert np.array_equal(adjacency_matrix(build_path(2)), [[0, 1], [1, 0]])
+        assert np.array_equal(adjacency_matrix(build("p", 2)), [[0, 1], [1, 0]])
 
     def test_c3_all_ones_off_diagonal(self):
-        m = adjacency_matrix(build_cycle(3))
+        m = adjacency_matrix(build("c", 3))
         assert np.array_equal(m, np.ones((3, 3)) - np.eye(3))
 
     def test_z4_row_sums(self):
-        m = adjacency_matrix(build_z(4))
+        m = adjacency_matrix(build("z", 4))
         assert sorted(m.sum(axis=1), reverse=True) == [3, 1, 1, 1]
         assert np.array_equal(m, m.T)
         assert np.all(np.diagonal(m) == 0)
@@ -211,13 +258,20 @@ class TestFamilySpec:
 
 class TestEdgeList:
     def test_round_trip(self):
-        for g in [build_path(1), build_path(7), build_cycle(5), build_w(9)]:
+        for g in [build("p", 1), build("p", 7), build("c", 5), build("w", 9)]:
             assert from_edge_list_text(to_edge_list_text(g)) == g
 
     def test_header_format(self):
-        text = to_edge_list_text(build_path(3))
+        text = to_edge_list_text(build("p", 3))
         assert text.splitlines()[0] == "n 3"
 
     def test_missing_header(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must start with a header"):
             from_edge_list_text("0 1\n1 2\n")
+
+    def test_header_split_on_any_whitespace(self):
+        assert from_edge_list_text("n\t3\n0\t1\n1 2\n") == from_edge_list_text("n 3\n0 1\n1 2\n")
+
+    def test_header_with_extra_field_malformed(self):
+        with pytest.raises(ValueError, match=r"^line 1: expected \"n <count>\", got 'n 3 4'$"):
+            from_edge_list_text("n 3 4\n0 1\n")

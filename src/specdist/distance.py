@@ -63,11 +63,13 @@ def check_pair_order(pair: str, n: int, closed: bool = False):
 
 def pair_orders(pair: str, lo: int, hi: int, residue=None) -> range:
     """The orders in lo..hi that check_pair_order accepts (the closed-form
-    bound aside), ascending; with a residue (0 or 2 for cz), only those
-    = residue (mod 4)."""
+    bound aside), ascending; with a residue, only those = residue (mod 4).
+    For cz, every even order; a residue is not used."""
     start = max(lo, pair_min_order(pair))
+    if pair == "cz":
+        return range(start + start % 2, hi + 1, 2)
     if residue is None:
-        return range(start + start % 2, hi + 1, 2) if pair == "cz" else range(start, hi + 1)
+        return range(start, hi + 1)
     return range(start + (residue - start) % 4, hi + 1, 4)
 
 

@@ -78,7 +78,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            normalized.add((u, v) if u < v else (v, u))
+            normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(normalized))
 
 

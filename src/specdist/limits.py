@@ -66,11 +66,11 @@ def richardson_extrapolate(samples) -> float:
 
 
 def _scan_residue(pair: str, residue):
-    """The residue class mod 4 a scan of the pair follows: for cz, whose
-    orders are even, 0, 2 or None for every even order; else 0..3."""
+    """The residue class a scan of the pair follows: None for cz, whose scans
+    take every even order and no residue, else residue, which must be 0..3."""
     if pair == "cz":
-        if residue not in (None, 0, 2):
-            raise ResidueMismatchError(f"pair cz takes a residue 0 or 2, got {residue!r}")
+        if residue is not None:
+            raise ResidueMismatchError(f"pair cz takes no residue, got {residue!r}")
     elif residue not in (0, 1, 2, 3):
         raise ResidueMismatchError(f"pair {pair} requires a residue 0..3, got {residue!r}")
     return residue
@@ -80,7 +80,7 @@ def default_grid(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> list[in
     """Approximately doubling grid staying inside the residue class: each
     order is the smallest valid one at least twice the previous.
 
-    For cz with no residue the grid is exact doubling over even orders.
+    For cz the grid is exact doubling over even orders.
     """
     residue = _scan_residue(pair, residue)
     start = pair_orders(pair, 0, MAX_CLOSED_ORDER, residue)[0]  # whatever n_max
@@ -121,7 +121,7 @@ class LimitEstimate:
 
 def sequence_scan(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> LimitEstimate:
     """Evaluate the closed-form sigma along default_grid and extrapolate the
-    limit.  residue is required for pz/wz/pw, optional (0 or 2) for cz."""
+    limit.  residue is required for pz/wz/pw and refused for cz."""
     residue = _scan_residue(pair, residue)
     samples = tuple((n, sigma_closed(pair, n)) for n in default_grid(pair, residue, n_max))
     extrapolated = richardson_extrapolate(samples)

@@ -396,21 +396,6 @@ class TestScan:
         payload = json.loads(out)
         assert abs(payload["extrapolated"] - 0.9452) < 1e-3
 
-    @pytest.mark.parametrize("residue,orders", [
-        (0, [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536]),
-        (2, [2**k - 2 for k in range(3, 17)]),
-    ])
-    def test_cz_residue_scan(self, capsys, residue, orders):
-        code, out, _ = run(
-            capsys, "scan", "--pair", "cz", "--residue", str(residue), "--n-max", "100000",
-            "--format", "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["residue"] == residue
-        assert [n for n, _ in payload["samples"]] == orders
-        assert payload["abs_error"] < 1e-8
-
     def test_env_tolerance_failure(self, capsys, monkeypatch):
         monkeypatch.setenv("SPECTRA_TOL", "1e-15")
         code, out, _ = run(capsys, "scan", "--pair", "cz", "--n-max", "10000")
@@ -482,10 +467,10 @@ class TestUsageErrors:
          "extrapolation needs at least 3 samples"),
         (("scan", "--pair", "pz", "--residue", "1", "--n-max", str(10**170)), None,
          "pair pz requires n <= 1e+150"),
-        (("scan", "--pair", "cz", "--residue", "1", "--n-max", "1000"), None,
-         "pair cz takes a residue 0 or 2, got 1"),
+        (("scan", "--pair", "cz", "--residue", "0", "--n-max", "1000"), None,
+         "pair cz takes no residue, got 0"),
         (("scan", "--pair", "cz", "--residue", "3", "--n-max", "1000"), None,
-         "pair cz takes a residue 0 or 2, got 3"),
+         "pair cz takes no residue, got 3"),
     ]
 
     @pytest.mark.parametrize("argv,env_tol,message", ROWS,

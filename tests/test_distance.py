@@ -27,6 +27,7 @@ from specdist.distance import (
     PAIRS,
     _residue_bounds,
     _sin_diff,
+    check_pair_order,
     pair_min_order,
     pair_orders,
     pair_spectra,
@@ -68,6 +69,14 @@ class TestSigma:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             sigma([1.0, 0.0], [1.0])
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("residue", [None, 0, 1, 2, 3])
+    def test_pair_orders_are_valid(self, pair, residue):
+        orders = pair_orders(pair, 1, 40, residue)
+        assert orders
+        for n in orders:
+            check_pair_order(pair, n)
 
     @pytest.mark.parametrize("pair", PAIRS)
     def test_direct_skips_the_sort_bitwise(self, pair):

@@ -49,16 +49,9 @@ def w_reference(n):
     return coalescence(z, 0, nx.path_graph(3), 1)
 
 
-def expected_edges(family, n):
-    """Each family's edge set written out: the spine 0..s-1 in order plus the
-    edges at its ends."""
-    s, added = {
-        "p": (n, set()),
-        "c": (n, {(0, n - 1)}),
-        "z": (n - 2, {(n - 3, n - 2), (n - 3, n - 1)}),
-        "w": (n - 4, {(0, n - 4), (0, n - 3), (n - 5, n - 2), (n - 5, n - 1)}),
-    }[family]
-    return {(i, i + 1) for i in range(s - 1)} | added
+def spine(s):
+    """The path edges of vertices 0..s-1 in order."""
+    return {(i, i + 1) for i in range(s - 1)}
 
 
 class TestGraphType:
@@ -161,10 +154,29 @@ class TestW:
 
 
 class TestEdgeSets:
-    @pytest.mark.parametrize("family", "pczw")
-    def test_labels_pinned(self, family):
-        for n in range(MIN_ORDER[Family(family)], 2001):
-            assert build(family, n).edges == expected_edges(family, n)
+    # each family's two smallest orders, a larger one written out, and n = 2000
+    PINNED = [
+        ("p", 1, set()),
+        ("p", 2, {(0, 1)}),
+        ("p", 5, {(0, 1), (1, 2), (2, 3), (3, 4)}),
+        ("p", 2000, spine(2000)),
+        ("c", 3, {(0, 1), (1, 2), (0, 2)}),
+        ("c", 4, {(0, 1), (1, 2), (2, 3), (0, 3)}),
+        ("c", 7, {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6)}),
+        ("c", 2000, spine(2000) | {(0, 1999)}),
+        ("z", 4, {(0, 1), (1, 2), (1, 3)}),
+        ("z", 5, {(0, 1), (1, 2), (2, 3), (2, 4)}),
+        ("z", 9, {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8)}),
+        ("z", 2000, spine(1998) | {(1997, 1998), (1997, 1999)}),
+        ("w", 6, {(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)}),
+        ("w", 7, {(0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)}),
+        ("w", 10, {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6), (0, 7), (5, 8), (5, 9)}),
+        ("w", 2000, spine(1996) | {(0, 1996), (0, 1997), (1995, 1998), (1995, 1999)}),
+    ]
+
+    @pytest.mark.parametrize("family,n,edges", PINNED)
+    def test_labels_pinned(self, family, n, edges):
+        assert build(family, n).edges == edges
 
     def test_order_messages(self):
         for family, label in [("p", "P"), ("c", "C"), ("z", "Z"), ("w", "W")]:

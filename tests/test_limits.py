@@ -100,6 +100,14 @@ class TestGrid:
         with pytest.raises(ResidueMismatchError, match=message):
             sequence_scan("pz", residue=None)
 
+    @pytest.mark.parametrize("residue", range(4))
+    def test_cz_residue_rejected(self, residue):
+        message = rf"^pair cz takes no residue, got {residue}$"
+        with pytest.raises(ResidueMismatchError, match=message):
+            default_grid("cz", residue=residue)
+        with pytest.raises(ResidueMismatchError, match=message):
+            sequence_scan("cz", residue=residue)
+
 
 class TestSequenceScan:
     def test_pz_residue_0_sequence(self):

@@ -6,9 +6,10 @@ paths, 4 the Jacobi eigensolver exhausted its sweep budget.  Every exit 2 is
 one "error: ..." line that main() alone prints: handlers raise UsageError,
 and the modules' order, residue and sample errors pass through unchanged.
 SPECTRA_TOL overrides the scan acceptance tolerance.  spectrum's --source
-defaults to closed for --family and numeric for --graph-file.  verify decides
-interlacing and bipartite-symmetry exactly, in one loop; additivity and oracle
-compare float residuals with CONSISTENCY_TOL and ORACLE_TOL.
+defaults to closed for --family and numeric for --graph-file.  One loop serves
+verify's four checks: interlacing and bipartite-symmetry are decided exactly;
+additivity and oracle compare float residuals with CONSISTENCY_TOL and
+ORACLE_TOL.
 
 main() builds the argument parser on its first call and reuses it for every
 later call in the process.  The parser holds no handler, tolerance or default
@@ -150,86 +151,66 @@ def run_dist(args):
     return status
 
 
-def _additivity_rows(lo, hi):
-    for n in distance.pair_orders("pw", lo, hi):
-        yield f"n={n}", distance.check_additivity(n)
-
-
-def _oracle_rows(lo, hi):
-    for family in Family:
-        for n in graphs.family_orders(family, lo, hi):
-            spec = FamilySpec(family, n)
-            numeric = spectra.numeric_spectrum(
-                graphs.adjacency_matrix(graphs.build_family(spec))
-            )
-            deviation = spectra.spectrum_deviation(spectra.closed_spectrum(spec), numeric)
-            yield f"family={family.value} n={n}", deviation
-
-
-# check -> (rows over lo..hi as (where, value), noun, quantity, tolerance
-# name); the tolerance is looked up when the check runs
-_TOLERANCE_CHECKS = {
-    "additivity": (_additivity_rows, "orders", "residual", "CONSISTENCY_TOL"),
-    "oracle": (_oracle_rows, "spectra", "deviation", "ORACLE_TOL"),
-}
-
-
 def _interlacing_rows(pair, lo, hi):
     for n in distance.pair_orders(pair, lo, hi):
-        yield f"n={n}", distance.pattern_mismatch(pair, n)
+        index = distance.pattern_mismatch(pair, n)
+        yield f"n={n}", None if index is None else f"index={index}", 0.0
 
 
-def _symmetry_rows(lo, hi):
-    for family in Family:
-        for n in graphs.family_orders(family, lo, hi):
-            if family is not Family.CYCLE or n % 2 == 0:  # odd cycles are not bipartite
-                yield f"family={family.value} n={n}", distance.symmetry_mismatch(family, n)
+def _additivity_rows(pair, lo, hi):
+    for n in distance.pair_orders("pw", lo, hi):
+        residual = distance.check_additivity(n)
+        failure = f"residual={residual:.3g}" if residual >= CONSISTENCY_TOL else None
+        yield f"n={n}", failure, residual
 
 
-def _verify_exact(check, rows, noun):
-    """PASS, or FAIL at the first row whose exact verdict names an index."""
-    checked = 0
-    for where, index in rows:
-        if index is not None:
-            return f"FAIL {check}: {where} index={index}"
-        checked += 1
-    return f"PASS {check}: {checked} {noun} checked" if checked else None
+def _oracle_rows(pair, lo, hi):
+    for family, n in graphs.family_orders(lo, hi):
+        spec = FamilySpec(family, n)
+        numeric = spectra.numeric_spectrum(graphs.adjacency_matrix(graphs.build_family(spec)))
+        deviation = spectra.spectrum_deviation(spectra.closed_spectrum(spec), numeric)
+        failure = f"deviation={deviation:.3g}" if deviation >= ORACLE_TOL else None
+        yield f"family={family.value} n={n}", failure, deviation
 
 
-def _verify_tolerance(check, lo, hi):
-    rows, noun, quantity, tol_name = _TOLERANCE_CHECKS[check]
-    tol = globals()[tol_name]
-    worst = 0.0
-    checked = 0
-    for where, value in rows(lo, hi):
-        if value >= tol:
-            return f"FAIL {check}: {where} {quantity}={value:.3g}"
-        worst = max(worst, value)
-        checked += 1
-    if checked:
-        return f"PASS {check}: {checked} {noun} checked, max {quantity} {worst:.3g}"
-    return None
+def _symmetry_rows(pair, lo, hi):
+    for family, n in graphs.family_orders(lo, hi):
+        if family is not Family.CYCLE or n % 2 == 0:  # odd cycles are not bipartite
+            index = distance.symmetry_mismatch(family, n)
+            yield f"family={family.value} n={n}", None if index is None else f"index={index}", 0.0
+
+
+# check -> (rows over lo..hi as (where, FAIL tail or None, value), noun, the
+# quantity whose maximum the PASS line reports, or None for exact checks)
+_CHECKS = {
+    "interlacing": (_interlacing_rows, "orders", None),
+    "additivity": (_additivity_rows, "orders", "residual"),
+    "oracle": (_oracle_rows, "spectra", "deviation"),
+    "bipartite-symmetry": (_symmetry_rows, "spectra", None),
+}
 
 
 def run_verify(args):
     """Print the check's PASS or first FAIL line; a range with no order valid
     for the check is a usage error."""
-    if args.check == "interlacing":
-        if args.pair is None:
-            raise UsageError("interlacing requires --pair pz, wz or cz")
-        check = f"interlacing {args.pair}"
-        verdict = _verify_exact(check, _interlacing_rows(args.pair, *args.n), "orders")
-    elif args.pair is not None:
+    if args.check == "interlacing" and args.pair is None:
+        raise UsageError("interlacing requires --pair pz, wz or cz")
+    if args.check != "interlacing" and args.pair is not None:
         raise UsageError(f"--check {args.check} takes no --pair")
-    elif args.check == "bipartite-symmetry":
-        check, verdict = args.check, _verify_exact(args.check, _symmetry_rows(*args.n), "spectra")
-    else:
-        check, verdict = args.check, _verify_tolerance(args.check, *args.n)
-    if not verdict:
+    check = f"{args.check} {args.pair}" if args.pair else args.check
+    rows, noun, quantity = _CHECKS[args.check]
+    checked, worst = 0, 0.0
+    for where, failure, value in rows(args.pair, *args.n):
+        if failure:
+            print(f"FAIL {check}: {where} {failure}")
+            return 1
+        checked, worst = checked + 1, max(worst, value)
+    if not checked:
         lo, hi = args.n
         raise UsageError(f"no order in {lo}..{hi} is valid for {check}")
-    print(verdict)
-    return 0 if verdict.startswith("PASS") else 1
+    print(f"PASS {check}: {checked} {noun} checked"
+          + (f", max {quantity} {worst:.3g}" if quantity else ""))
+    return 0
 
 
 def run_scan(args):
@@ -284,11 +265,7 @@ def build_parser():
     dp.add_argument("--out")
 
     vp = sub.add_parser("verify", help="Run a verification suite over a range")
-    vp.add_argument(
-        "--check",
-        choices=["interlacing", "additivity", "oracle", "bipartite-symmetry"],
-        required=True,
-    )
+    vp.add_argument("--check", choices=list(_CHECKS), required=True)
     vp.add_argument("--pair", choices=[p for p in distance.PAIRS if p != "pw"])
     vp.add_argument("--n", type=_parse_range, required=True, help='inclusive range "a..b"')
 

@@ -213,12 +213,8 @@ def check_additivity(n: int) -> float:
     return abs(_sorted_sigma(p, w) - _sorted_sigma(p, z) - _sorted_sigma(w, z))
 
 
-G1_ABOVE = "G1_above"
-G2_ABOVE = "G2_above"
-EQUAL = "equal"
-
 # pattern names indexed by sign code: 0 equal, 1 G1 above, -1 (the last) G2 above
-_CODE_NAMES = np.array([EQUAL, G1_ABOVE, G2_ABOVE], dtype=object)
+_CODE_NAMES = np.array(["equal", "G1_above", "G2_above"], dtype=object)
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,12 @@ MIN_ORDER = {
 MAX_ORDER = np.iinfo(np.intp).max // 8
 
 
-def family_orders(family, lo: int, hi: int) -> range:
-    """The valid orders of the family in lo..hi, ascending."""
-    return range(max(lo, MIN_ORDER[Family(family)]), hi + 1)
+def family_orders(lo: int, hi: int):
+    """Yield (family, n) for every family in Family order and, within each,
+    every valid order n in lo..hi, ascending."""
+    for family in Family:
+        for n in range(max(lo, MIN_ORDER[family]), hi + 1):
+            yield family, n
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,6 @@ class LimitEstimate:
 def sequence_scan(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> LimitEstimate:
     """Evaluate the closed-form sigma along default_grid and extrapolate the
     limit.  residue is required for pz/wz/pw and refused for cz."""
-    residue = _scan_residue(pair, residue)
     samples = tuple((n, sigma_closed(pair, n)) for n in default_grid(pair, residue, n_max))
     extrapolated = richardson_extrapolate(samples)
     target = target_constant(pair)

@@ -163,6 +163,26 @@ class TestDist:
         fields = dict(line.split() for line in out.splitlines())
         assert float(fields["residual"]) < 1e-9
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_direct_closed_residual_exit_3(self, capsys, monkeypatch, fmt):
+        closed = distance.sigma_closed
+        monkeypatch.setattr(distance, "sigma_closed", lambda pair, n: closed(pair, n) + 1e-6)
+        code, out, err = run(
+            capsys, "dist", "--pair", "pz", "--n", "9", "--mode", "both", "--format", fmt
+        )
+        assert code == 3
+        assert err == "error: direct/closed residual 1e-06 exceeds 1e-09\n"
+        if fmt == "json":
+            assert out == distance.distance_report("pz", 9).to_json() + "\n"
+        else:
+            direct, shifted = distance.sigma_direct("pz", 9), closed("pz", 9) + 1e-6
+            assert out == (
+                f"sigma_direct {direct:.17g}\n"
+                f"sigma_closed {shifted:.17g}\n"
+                f"residual {abs(direct - shifted):.17g}\n"
+                "pattern_matches_proof True\n"
+            )
+
     def test_invalid_order_exit_2(self, capsys):
         code, _, err = run(capsys, "dist", "--pair", "pz", "--n", "3")
         assert code == 2
@@ -352,7 +372,21 @@ class TestVerify:
     def test_failure_names_family_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "ORACLE_TOL", 0.0)
         code, out, _ = run(capsys, "verify", "--check", "oracle", "--n", "4..6")
-        assert code == 1 and out.startswith("FAIL oracle: family=p n=4 ")
+        spec = FamilySpec("p", 4)
+        numeric = numeric_spectrum(adjacency_matrix(build_family(spec)))
+        deviation = spectrum_deviation(closed_spectrum(spec), numeric)
+        assert code == 1 and out == f"FAIL oracle: family=p n=4 deviation={deviation:.3g}\n"
+
+    def test_check_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--help")
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert "  --check {interlacing,additivity,oracle,bipartite-symmetry}\n" in out
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--check", "nope", "--n", "4..6")
+        assert exc.value.code == 2
+        assert "argument --check: invalid choice: 'nope'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

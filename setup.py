@@ -1,9 +1,9 @@
-"""Build script for the optional compiled Jacobi kernel.
+"""Build script for the compiled Jacobi kernel.
 
 ``src/specdist/_jacobi.c`` is a hand-written CPython extension, so a C
-compiler is all the build needs.  The package works without the extension (a
-pure numpy fallback is selected at import time), so a missing compiler only
-costs speed.
+compiler is all the build needs.  Numeric spectra need the kernel: an
+installed package ships it built here, and a source checkout builds it at its
+first numeric call (see ``specdist.eigensolver``).
 """
 
 from setuptools import Extension, setup

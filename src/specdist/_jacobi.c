@@ -1,8 +1,8 @@
 /* Cyclic Jacobi sweeps for dense symmetric matrices (compiled kernel).
 
    Plain CPython extension: the matrix arrives through the buffer protocol,
-   no numpy headers are needed.  _jacobi_py.py is the pure numpy fallback
-   with the same contract and the same rotation formulas.
+   no numpy headers are needed.  eigensolver.py builds it from this file at
+   the first numeric call when the built module is missing or older.
 */
 
 #define PY_SSIZE_T_CLEAN

@@ -1,10 +1,12 @@
 """Command-line front end: spectrum, dist, verify and scan subcommands.
 
 Exit codes: 0 success, 1 verification failure or scan tolerance exceeded,
-2 misuse, 3 internal inconsistency between the direct and closed sigma
-paths, 4 the Jacobi eigensolver exhausted its sweep budget.  Every exit 2 is
-one "error: ..." line that main() alone prints: handlers raise UsageError,
-and the modules' order, residue and sample errors pass through unchanged.
+2 misuse, or a numeric command whose Jacobi kernel cannot be built, 3
+internal inconsistency between the direct and closed sigma paths, 4 the
+Jacobi eigensolver exhausted its sweep budget.  Every exit 2 is one
+"error: ..." line that main() alone prints: handlers raise UsageError, and
+the modules' order, residue and sample errors and the kernel build's OSError
+pass through unchanged.
 SPECTRA_TOL overrides the scan acceptance tolerance.  spectrum's --source
 defaults to closed for --family and numeric for --graph-file.  One loop serves
 verify's four checks: interlacing and bipartite-symmetry are decided exactly;

@@ -1,18 +1,27 @@
 """Dense symmetric eigensolver built on cyclic Jacobi sweeps.
 
-The kernel is chosen once, at import, and bound to ``jacobi_sweeps``, which
-symmetric_eigenvalues reads at each call.  The compiled C kernel
-(``_jacobi.c``) is preferred.  A pure numpy fallback (``_jacobi_py.py``) is
-bound when the extension is unavailable or when SPECTRA_NO_EXT=1 is set; it
-uses the kernel's per-rotation formulas, skip threshold and convergence test,
-but the round-robin rotation ordering, with its working copy stored in each
-round's pair order, so the two agree to rounding, not bitwise.  Both return
-the eigenvalues in the input's index order, unsorted.  Convergence:
-off-diagonal Frobenius norm below 1e-12 * n, within a budget of SWEEP_BUDGET
-(100) sweeps, read at call time.
+The sweeps run in one compiled kernel, the CPython extension
+``specdist._jacobi``, loaded at the first numeric call and not at import, so
+the closed-form paths never need it.  In a source checkout, where
+``_jacobi.c`` sits beside this module, a kernel that is missing for this
+interpreter or older than ``_jacobi.c`` is first built by the C compiler
+Python was configured with (``$CC`` if set), under a temporary name that is
+then moved into place.  An installed package ships the built kernel and no
+``_jacobi.c``, and only imports it.  A failed build raises OSError naming the
+compiler's failure.
+
+``jacobi_sweeps`` is read by symmetric_eigenvalues at each call; the kernel
+rotates in place and leaves the eigenvalues on the diagonal, in the input's
+index order, unsorted.  Convergence: off-diagonal Frobenius norm below
+1e-12 * n, within a budget of SWEEP_BUDGET (100) sweeps, read at call time.
 """
 
+import contextlib
+import functools
+import importlib
 import os
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 
@@ -20,25 +29,65 @@ from .errors import ConvergenceError, NonSymmetricMatrixError
 
 SWEEP_BUDGET = 100
 TOL_PER_DIM = 1e-12
+ACTIVE_BACKEND = "compiled"
 
-try:
-    from ._jacobi import jacobi_sweeps as _compiled_sweeps
-except ImportError:  # extension not built
-    _compiled_sweeps = None
+_SOURCE = Path(__file__).with_name("_jacobi.c")
 
-from ._jacobi_py import jacobi_sweeps as _pure_sweeps
 
-if _compiled_sweeps is not None and os.environ.get("SPECTRA_NO_EXT") != "1":
-    ACTIVE_BACKEND, jacobi_sweeps = "compiled", _compiled_sweeps
-else:
-    ACTIVE_BACKEND, jacobi_sweeps = "pure", _pure_sweeps
+def _compile(target):
+    """Compile _SOURCE to target; raise OSError if the compiler fails."""
+    # imported here, so that importing the package does not load them
+    import shlex
+    import subprocess
+
+    var = sysconfig.get_config_var
+    flags = f"{os.environ.get('CC') or var('CC')} {var('CFLAGS')} {var('CCSHARED')}"
+    tmp = target.with_name(f"_jacobi-{os.getpid()}.tmp")
+    command = [*shlex.split(flags), "-I", var("INCLUDEPY"), "-shared", str(_SOURCE),
+               "-o", str(tmp), "-lm"]
+    try:
+        proc = subprocess.run(command, capture_output=True, text=True)
+        if proc.returncode != 0:
+            said = (proc.stderr or proc.stdout).strip().splitlines()
+            raise OSError(f"{command[0]} exited with status {proc.returncode}"
+                          + (f": {said[0]}" if said else ""))
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _kernel():
+    """The compiled jacobi_sweeps, built first when the source is newer."""
+    if _SOURCE.exists():
+        target = _SOURCE.with_name("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
+        if not target.exists() or target.stat().st_mtime < _SOURCE.stat().st_mtime:
+            try:
+                _compile(target)
+            except OSError as exc:
+                raise OSError(
+                    f"cannot build the Jacobi kernel {target.name}: {exc}; numeric "
+                    "spectra need a C compiler, or a package built by pip install -e ."
+                ) from exc
+            importlib.invalidate_caches()
+    from ._jacobi import jacobi_sweeps
+
+    return jacobi_sweeps
+
+
+# a plain function, bound at import before any kernel is loaded, so that
+# callers can find, rebind or wrap it without loading the kernel
+def jacobi_sweeps(a, max_sweeps, tol):
+    """Rotate a in place until converged: (converged, sweeps used)."""
+    return _kernel()(a, max_sweeps, tol)
 
 
 def symmetric_eigenvalues(m):
     """Eigenvalues of an exactly symmetric matrix, unsorted.
 
-    Raises NonSymmetricMatrixError for asymmetric input and ConvergenceError
-    if the sweep budget is exhausted.
+    Raises NonSymmetricMatrixError for asymmetric input, ConvergenceError if
+    the sweep budget is exhausted and OSError if the kernel cannot be built.
     """
     a = np.array(m, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -10,9 +11,54 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specdist import FamilySpec, adjacency_matrix, build_family, eigensolver
+from specdist import (
+    FamilySpec,
+    adjacency_matrix,
+    build_family,
+    closed_spectrum,
+    eigensolver,
+    spectrum_deviation,
+)
 from specdist.eigensolver import symmetric_eigenvalues
 from specdist.errors import ConvergenceError, NonSymmetricMatrixError
+from specdist.graphs import MIN_ORDER
+
+
+@pytest.fixture(params=[eigensolver.ACTIVE_BACKEND])
+def backend(request):
+    """The kernel a test runs on, named in its id; there is one."""
+    return request.param
+
+
+def _random_connected_adjacency(rng, n, extra):
+    """Adjacency matrix of a randomly labelled random tree on n vertices plus
+    up to ``extra`` more edges, as the benchmark builds its random graphs."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    m = np.zeros((n, n))
+    for v in range(1, n):
+        a, b = labels[rng.randrange(v)], labels[v]
+        m[a, b] = m[b, a] = 1.0
+    for _ in range(min(extra, n * (n - 1) // 2 - (n - 1))):
+        a, b = rng.choice(np.argwhere(np.triu(m == 0, 1)).tolist())
+        m[a, b] = m[b, a] = 1.0
+    return m
+
+
+def _family_matrices(lo, hi):
+    for fam, low in MIN_ORDER.items():
+        for n in range(max(lo, low), hi + 1):
+            spec = FamilySpec(fam, n)
+            yield spec, adjacency_matrix(build_family(spec))
+
+
+def _kernel_run(m, max_sweeps=None):
+    """(converged, sweeps) of the kernel on a copy of m, and the rotated copy."""
+    a = np.array(m, dtype=np.float64)
+    if max_sweeps is None:
+        max_sweeps = eigensolver.SWEEP_BUDGET
+    result = eigensolver.jacobi_sweeps(a, max_sweeps, eigensolver.TOL_PER_DIM * a.shape[0])
+    return result, a
 
 
 def test_compiled_kernel_is_available():
@@ -21,6 +67,7 @@ def test_compiled_kernel_is_available():
     assert eigensolver._kernel().__module__ == "specdist._jacobi"
 
 
+@pytest.mark.usefixtures("backend")
 class TestJacobi:
     def test_p2(self):
         values = np.sort(symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]]))
@@ -69,6 +116,110 @@ class TestJacobi:
             symmetric_eigenvalues(m)
 
 
+# The test_pure_* tests first checked the numpy fallback, deleted since; they
+# keep their names and check the same behaviour on the compiled kernel.
+
+
+def test_pure_sweeps_keep_matrix_exactly_symmetric():
+    # each rotation writes a[i][p] and a[p][i] as one value
+    rng = random.Random(11)
+    matrices = [m for _, m in _family_matrices(2, 40)]
+    matrices += [_random_connected_adjacency(rng, n, rng.randrange(2 * n)) for n in range(2, 41)]
+    for m in matrices:
+        (converged, _), a = _kernel_run(m)
+        assert converged
+        assert np.array_equal(a, a.T), f"n={m.shape[0]}"
+
+
+# (converged, sweeps) of the compiled kernel at n = 2..48 from each family's
+# least order; every run converged
+_KERNEL_SWEEPS = {
+    "p": [1, 3, 4, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+          7, 7, 8, 8, 7, 8, 8, 8, 9, 8, 9, 9, 9, 8, 9, 9, 9, 9, 8, 9, 9, 9, 9],
+    "c": [1, 3, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6, 7, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+          7, 8, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9],
+    "z": [4, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8,
+          8, 8, 8, 8, 9, 8, 9, 9, 8, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9],
+    "w": [5, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 7, 8, 8, 8,
+          8, 8, 8, 8, 9, 8, 9, 8, 8, 9, 9, 9, 9, 9, 9, 8, 9, 9, 9],
+}
+# the same for _random_connected_adjacency(rng, n, rng.randrange(2 * n)),
+# n = 2..48 in turn, with rng = random.Random(13)
+_KERNEL_RANDOM_SWEEPS = [
+    1, 1, 4, 1, 1, 5, 6, 6, 6, 6, 6, 6, 6, 7, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7,
+    7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8, 7, 7, 7, 7, 7, 8, 7, 7,
+]
+
+
+def test_pure_sweep_counts_unchanged():
+    got = {}
+    for spec, m in _family_matrices(2, 48):
+        got.setdefault(spec.family.value, []).append(_kernel_run(m)[0])
+    assert got == {
+        family: [(True, sweeps) for sweeps in counts]
+        for family, counts in _KERNEL_SWEEPS.items()
+    }
+    rng = random.Random(13)
+    random_runs = [
+        _kernel_run(_random_connected_adjacency(rng, n, rng.randrange(2 * n)))[0]
+        for n in range(2, 49)
+    ]
+    assert random_runs == [(True, sweeps) for sweeps in _KERNEL_RANDOM_SWEEPS]
+
+
+def test_pure_backend_returns_input_order():
+    # the eigenvalues are left on the diagonal; no permutation may reach the
+    # unsorted result
+    d = [3.0, -1.0, 0.5, 2.0, 7.0]
+    assert np.array_equal(symmetric_eigenvalues(np.diag(d)), d)
+    # weak couplings make the sweeps run; the entries are distinct integers,
+    # so each eigenvalue lies within the coupling's norm of its own entry (Weyl)
+    rng = random.Random(3)
+    for n in range(2, 13):
+        d = np.array(rng.sample(range(-3 * n, 3 * n), n), dtype=np.float64)
+        coupling = 0.01 * _random_connected_adjacency(rng, n, n)
+        values = symmetric_eigenvalues(np.diag(d) + coupling)
+        assert np.max(np.abs(values - d)) <= np.linalg.norm(coupling, 2), n
+
+
+_BUDGET_MATRICES = [
+    adjacency_matrix(build_family(FamilySpec("p", 30))),
+    [[0.0, 1.0], [1.0, 0.0]],
+    np.diag([3.0, -1.0, 0.5, 2.0, 7.0]),
+    [[4.0]],
+]
+
+
+@pytest.mark.parametrize(
+    "max_sweeps,expected",
+    [
+        (0, [(False, 0), (False, 0), (True, 0), (True, 0)]),
+        (1, [(False, 1), (True, 1), (True, 0), (True, 0)]),
+    ],
+)
+def test_pure_sweep_budget(max_sweeps, expected, monkeypatch):
+    monkeypatch.setattr(eigensolver, "SWEEP_BUDGET", max_sweeps)
+    for m, want in zip(_BUDGET_MATRICES, expected):
+        assert _kernel_run(m, max_sweeps)[0] == want
+        if want[0]:
+            assert symmetric_eigenvalues(m).shape == (len(m),)
+        else:
+            with pytest.raises(ConvergenceError):
+                symmetric_eigenvalues(m)
+
+
+def test_pure_backend_matches_closed_spectra():
+    # criterion 4's bounds for every family at n <= 60
+    worst_dev = worst_trace = worst_sumsq = 0.0
+    for spec, m in _family_matrices(1, 60):
+        numeric = np.sort(symmetric_eigenvalues(m))[::-1]
+        worst_dev = max(worst_dev, spectrum_deviation(closed_spectrum(spec), numeric))
+        worst_trace = max(worst_trace, abs(float(np.sum(numeric))))
+        # the sum of squares is the adjacency matrix's sum, twice the edge count
+        worst_sumsq = max(worst_sumsq, abs(float(np.sum(numeric**2)) - float(np.sum(m))))
+    assert worst_dev < 1e-8 and worst_trace < 1e-8 and worst_sumsq < 1e-8
+
+
 def _read_only(m):
     m.setflags(write=False)
     return m
@@ -88,7 +239,6 @@ def test_compiled_kernel_rejects_bad_buffers(a):
     jacobi_sweeps = eigensolver._kernel()
     with pytest.raises(ValueError):
         jacobi_sweeps(a, 10, 1e-12)
-
 
 
 # numeric commands need the kernel; the closed-form ones must run without it

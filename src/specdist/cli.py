@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 verification failure or scan tolerance exceeded,
 2 misuse, or a numeric command whose Jacobi kernel cannot be built, 3
 internal inconsistency between the direct and closed sigma paths, 4 the
 Jacobi eigensolver exhausted its sweep budget.  Every exit 2 is one
-"error: ..." line that main() alone prints: handlers raise UsageError, and
-the modules' order, residue and sample errors and the kernel build's OSError
-pass through unchanged.
+"error: ..." line that main() alone prints: handlers raise UsageError, the
+modules' order, residue and sample errors are UsageErrors too, and the kernel
+build's OSError passes through unchanged.
 SPECTRA_TOL overrides the scan acceptance tolerance.  spectrum's --source
 defaults to closed for --family and numeric for --graph-file.  One loop serves
 verify's four checks: interlacing and bipartite-symmetry are decided exactly;
@@ -27,14 +27,7 @@ import os
 import sys
 
 from . import distance, graphs, limits, spectra
-from .errors import (
-    ConvergenceError,
-    InsufficientSamplesError,
-    OrderTooLargeError,
-    OrderTooSmallError,
-    ResidueMismatchError,
-    UsageError,
-)
+from .errors import ConvergenceError, UsageError
 from .graphs import Family, FamilySpec
 
 CONSISTENCY_TOL = 1e-9
@@ -69,6 +62,8 @@ def _values_line(values):
 
 def run_spectrum(args):
     if args.graph_file:
+        if args.family is not None or args.n is not None:
+            raise UsageError("--graph-file takes no --family or --n")
         if args.source not in (None, "numeric"):
             raise UsageError(
                 f"a graph file has no closed spectrum; --source {args.source} needs --family"
@@ -284,8 +279,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"run_{args.command}"](args)
-    except (UsageError, OrderTooSmallError, OrderTooLargeError, ResidueMismatchError,
-            InsufficientSamplesError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an order too large for this machine's memory

@@ -132,59 +132,31 @@ def _sin_diff(x, y, x_minus_y):
     return 2.0 * math.cos(0.5 * (x + y)) * math.sin(0.5 * x_minus_y)
 
 
-def _dirichlet_gap(alpha, beta, beta_minus_alpha, x, y, x_minus_y):
-    """sin(x) / (2 sin alpha) - sin(y) / (2 sin beta) for nearby angles.
-
-    Both quotients grow like n; split as (1/(2 sin alpha) - 1/(2 sin beta))
-    sin x + (sin x - sin y) / (2 sin beta), where each part is O(1) and its
-    difference comes from an exactly known angle difference.
-    """
-    sin_a, sin_b = math.sin(alpha), math.sin(beta)
-    coeff_gap = _sin_diff(beta, alpha, beta_minus_alpha) / (2.0 * sin_a * sin_b)
-    return coeff_gap * math.sin(x) + _sin_diff(x, y, x_minus_y) / (2.0 * sin_b)
-
-
-# Prefix sums by Lagrange's identity (z_k, p_k, w_k are the upper-half
-# eigenvalues over 2 of Z_n, P_n and W_n):
-#   sum_{k<=K} cos((2k-1) pi/(2n-2)) = sin(K pi/(n-1)) / (2 sin(pi/(2n-2)))
-#   sum_{k<=K} cos(k pi/(n+1)) = sin((2K+1) pi/(2n+2)) / (2 sin(pi/(2n+2))) - 1/2
-#   sum_{k<=K} cos((k-1) pi/(n-3)) = sin((2K-1) pi/(2n-6)) / (2 sin(pi/(2n-6))) + 1/2
-
-
-def _prefix_pz(K, n):
-    """sum_{k=1}^{K} (z_k - p_k) for the pz pair at order n."""
-    # angle differences over the exact integer d: -pi/(n^2-1) between the
-    # half-steps, pi(4K-n+1)/(2(n^2-1)) between the sine arguments
-    d = 2 * (n * n - 1)
-    return 0.5 + _dirichlet_gap(
-        math.pi / (2 * n - 2),
-        math.pi / (2 * n + 2),
-        -2.0 * math.pi / d,
-        K * math.pi / (n - 1),
-        (2 * K + 1) * math.pi / (2 * n + 2),
-        (4 * K - n + 1) * math.pi / d,
-    )
-
-
-def _prefix_wz(K, n):
-    """sum_{k=1}^{K} (w_k - z_k) for the wz pair at order n."""
-    # as in _prefix_pz, with d = 2(n-1)(n-3)
-    d = 2 * (n - 1) * (n - 3)
-    return 0.5 + _dirichlet_gap(
-        math.pi / (2 * n - 6),
-        math.pi / (2 * n - 2),
-        -2.0 * math.pi / d,
-        (2 * K - 1) * math.pi / (2 * n - 6),
-        K * math.pi / (n - 1),
-        (4 * K - n + 1) * math.pi / d,
-    )
-
-
 def _sigma_from_prefix(pair, n):
-    # 4 * [sum_{k<=k1_hi} - sum_{k2_lo<=k<=k2_hi}] of the pair's cosine gaps
+    """sigma of pz or wz, 4 [g(k1_hi) + g(k2_lo - 1) - g(k2_hi)] on _residue_bounds, where
+    g(K) sums g_k - h_k over k <= K, upper-half eigenvalues over 2 of the dominant-first
+    families G, H (Z, P for pz; W, Z for wz).  By Lagrange's identity, the first angle piece
+    (a, b over den) of spectra.angle_progressions sums over k <= K to sin(x) / (2 sin alpha)
+    + c, with x = pi (2a + b(2K + 1)) / (2 den), alpha = pi b / (2 den), c = -1/2, 0, 1/2 for
+    P, Z, W.  So g(K) = 1/2 + (1/(2 sin alpha) - 1/(2 sin beta)) sin x + (sin x - sin y) /
+    (2 sin beta): each part is O(1), each angle difference one exact integer over 2 den_G den_H."""
+    if pair == "pz":
+        (ag, bg, dg), (ah, bh, dh) = (-1, 2, 2 * n - 2), (0, 1, n + 1)
+    else:
+        (ag, bg, dg), (ah, bh, dh) = (-2, 2, 2 * n - 6), (-1, 2, 2 * n - 2)
+    d = 2 * dg * dh
+    alpha, beta = bg * math.pi / (2 * dg), bh * math.pi / (2 * dh)
+    sin_a, sin_b = math.sin(alpha), math.sin(beta)
+    coeff_gap = _sin_diff(beta, alpha, (bh * dg - bg * dh) * math.pi / d) / (2.0 * sin_a * sin_b)
     k1_hi, k2_lo, k2_hi, _ = _residue_bounds(pair, n)
-    prefix = _prefix_pz if pair == "pz" else _prefix_wz
-    return 4.0 * (prefix(k1_hi, n) + prefix(k2_lo - 1, n) - prefix(k2_hi, n))
+    total = 0.0
+    for K, sign in ((k1_hi, 1.0), (k2_lo - 1, 1.0), (k2_hi, -1.0)):
+        ug, uh = 2 * ag + bg * (2 * K + 1), 2 * ah + bh * (2 * K + 1)
+        x, y = ug * math.pi / (2 * dg), uh * math.pi / (2 * dh)
+        x_minus_y = (ug * dh - uh * dg) * math.pi / d
+        gap = coeff_gap * math.sin(x) + _sin_diff(x, y, x_minus_y) / (2.0 * sin_b)
+        total += sign * (0.5 + gap)
+    return 4.0 * total
 
 
 def sigma_closed(pair: str, n: int) -> float:

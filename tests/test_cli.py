@@ -479,6 +479,10 @@ class TestUsageErrors:
          "a graph file has no closed spectrum; --source closed needs --family"),
         (("spectrum", "--graph-file", "{p3}", "--source", "both"), None,
          "a graph file has no closed spectrum; --source both needs --family"),
+        (("spectrum", "--family", "w", "--graph-file", "{p3}"), None,
+         "--graph-file takes no --family or --n"),
+        (("spectrum", "--n", "9", "--graph-file", "{p3}"), None,
+         "--graph-file takes no --family or --n"),
         (("spectrum", "--graph-file", "{bad}"), None,
          """{bad}: line 2: expected "i j", got '0 x'"""),
         (("verify", "--check", "interlacing", "--n", "4..10"), None,

@@ -166,9 +166,9 @@ class TestClosedSums:
 
     @pytest.mark.parametrize("pair", ["pz", "wz", "pw"])
     def test_angles_are_the_progressions(self, pair):
-        # sigma_closed states the first pieces' angles again; each of its
-        # arguments equals the progressions' up to a power-of-two scale, so
-        # the two agree bitwise
+        # sigma_closed states the first pieces' (a, b, den) again; its sine
+        # arguments and angle differences are the same integers over the same
+        # denominators as the progressions', so the two agree bitwise
         rng = random.Random(2010)
         orders = [*pair_orders(pair, 1, 4999)]
         orders += [rng.randrange(10**e, 10**(e + 1)) for e in range(5, 150) for _ in range(3)]

@@ -99,6 +99,14 @@ class TestJacobi:
     def test_single_entry(self):
         assert np.array_equal(symmetric_eigenvalues([[4.0]]), [4.0])
 
+    def test_empty_matrix(self):
+        # no sweep runs at n = 0, as at n = 1, whatever the budget
+        for max_sweeps in (0, 1, eigensolver.SWEEP_BUDGET):
+            assert _kernel_run(np.zeros((0, 0)), max_sweeps)[0] == (True, 0)
+        values = symmetric_eigenvalues(np.zeros((0, 0)))
+        assert values.shape == (0,) and values.dtype == np.float64
+        assert np.array_equal(values, np.linalg.eigvalsh(np.zeros((0, 0))))
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(NonSymmetricMatrixError):
             symmetric_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
@@ -121,7 +129,8 @@ class TestJacobi:
 
 
 def test_pure_sweeps_keep_matrix_exactly_symmetric():
-    # each rotation writes a[i][p] and a[p][i] as one value
+    # the sweeps rotate the upper triangle only; the kernel copies it onto the
+    # lower one before it returns, also when the budget runs out first
     rng = random.Random(11)
     matrices = [m for _, m in _family_matrices(2, 40)]
     matrices += [_random_connected_adjacency(rng, n, rng.randrange(2 * n)) for n in range(2, 41)]
@@ -129,6 +138,69 @@ def test_pure_sweeps_keep_matrix_exactly_symmetric():
         (converged, _), a = _kernel_run(m)
         assert converged
         assert np.array_equal(a, a.T), f"n={m.shape[0]}"
+        for max_sweeps in (1, 2):
+            _, a = _kernel_run(m, max_sweeps)
+            assert np.array_equal(a, a.T), (m.shape[0], max_sweeps)
+
+
+def _full_storage_model(m, max_sweeps, tol):
+    """(converged, sweeps) and the rotated matrix of cyclic Jacobi sweeps over
+    the full storage, in pure Python: the kernel's formulas in its pair order,
+    each rotation writing a[i][p] and a[p][i] as one value."""
+    a = [[float(x) for x in row] for row in np.asarray(m, dtype=np.float64)]
+    n = len(a)
+    skip = 0.1 * tol / n
+
+    def off_norm():
+        off = 0.0  # summed in order, as the kernel does; sum() may compensate
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off += 2.0 * a[p][q] * a[p][q]
+        return math.sqrt(off)
+
+    converged, used = True, 0
+    if n > 1:
+        for used in range(max_sweeps):
+            if off_norm() < tol:
+                break
+            for p, q in ((p, q) for p in range(n - 1) for q in range(p + 1, n)):
+                apq, app, aqq = a[p][q], a[p][p], a[q][q]
+                if abs(apq) <= skip:
+                    continue
+                theta = (aqq - app) / (2.0 * apq)
+                root = math.sqrt(theta * theta + 1.0)
+                t = 1.0 / (theta + root) if theta >= 0.0 else -1.0 / (-theta + root)
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                a[p][p], a[q][q] = app - t * apq, aqq + t * apq
+                a[p][q] = a[q][p] = 0.0
+                for i in (i for i in range(n) if i != p and i != q):
+                    aip, aiq = a[i][p], a[i][q]
+                    a[i][p] = a[p][i] = c * aip - s * aiq
+                    a[i][q] = a[q][i] = s * aip + c * aiq
+        else:
+            converged, used = off_norm() < tol, max_sweeps
+    return (converged, used), np.array(a, dtype=np.float64)
+
+
+def test_kernel_matches_the_full_storage_model_bit_for_bit():
+    # Python floats are IEEE doubles and math.sqrt rounds correctly, so the
+    # model's bits equal the kernel's as long as the compiler fuses no
+    # multiply-add: true of gcc on x86-64 at sysconfig's flags (no -march, so
+    # no FMA instructions)
+    rng = np.random.default_rng(19)
+    # a negated adjacency matrix's first pivots have theta = -0.0
+    matrices = [sign * m for _, m in _family_matrices(1, 16) for sign in (1.0, -1.0)]
+    for n in (2, 5, 9, 16):
+        x = rng.standard_normal((n, n))
+        matrices.append(x + x.T)
+    for m in matrices:
+        for max_sweeps in (0, 1, 2, 100):
+            tol = eigensolver.TOL_PER_DIM * len(m)
+            got, a = _kernel_run(m, max_sweeps)
+            want, b = _full_storage_model(m, max_sweeps, tol)
+            assert got == want, (len(m), max_sweeps)
+            assert a.tobytes() == b.tobytes(), (len(m), max_sweeps)
 
 
 # (converged, sweeps) of the compiled kernel at n = 2..48 from each family's

@@ -1,4 +1,10 @@
-"""Spectral distances between paths, cycles and the snake trees Z_n, W_n."""
+"""Spectral distances between paths, cycles and the snake trees Z_n, W_n.
+
+numpy is imported inside each function that builds or reads an array, not at
+the top of any module, so importing the package, the closed forms, the exact
+sign patterns and the limit scans never load it: they use Python ints and
+math alone.
+"""
 
 from .distance import (
     DistanceReport,

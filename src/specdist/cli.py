@@ -13,6 +13,11 @@ verify's four checks: interlacing and bipartite-symmetry are decided exactly;
 additivity and oracle compare float residuals with CONSISTENCY_TOL and
 ORACLE_TOL.
 
+numpy is imported by the first function that builds an array, not by this
+module or the package: scan, dist --mode closed in text and the two exact
+verify checks run on Python ints and math alone and never load it (nor the
+Jacobi kernel, which only the numeric spectra load).
+
 main() builds the argument parser on its first call and reuses it for every
 later call in the process.  The parser holds no handler, tolerance or default
 of the program: each call looks up run_<command> in this module, the

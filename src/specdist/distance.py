@@ -2,7 +2,8 @@
 interlacing sign patterns between the family pairs.
 
 Pairs are two-letter codes naming (G1, G2): "pz", "wz", "pw", "cz".
-The cz pair always compares C_n with Z_n at even order n.
+The cz pair always compares C_n with Z_n at even order n.  Only the
+functions that build or read float spectra import numpy, when called.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     LengthMismatchError,
@@ -82,11 +81,15 @@ def pair_spectra(pair: str, n: int):
 
 def _sorted_sigma(a, b) -> float:
     # l1 distance of two spectra that are already sorted descending
+    import numpy as np
+
     return float(np.sum(np.abs(a - b)))
 
 
 def sigma(a, b) -> float:
     """l1 distance between two spectra after descending sorts."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -186,7 +189,7 @@ def check_additivity(n: int) -> float:
 
 
 # pattern names indexed by sign code: 0 equal, 1 G1 above, -1 (the last) G2 above
-_CODE_NAMES = np.array(["equal", "G1_above", "G2_above"], dtype=object)
+_CODE_NAMES = ("equal", "G1_above", "G2_above")
 
 
 @dataclass(frozen=True)
@@ -214,8 +217,10 @@ class DistanceReport:
 # patterns agree when their runs are equal.
 
 
-def _write_runs(classes, n: int) -> np.ndarray:
+def _write_runs(classes, n: int):
     """A pattern's runs written out as n int8 codes, one slice per run."""
+    import numpy as np
+
     codes = np.zeros(n, dtype=np.int8)
     for runs in classes:
         for first, last, code in runs:
@@ -223,7 +228,7 @@ def _write_runs(classes, n: int) -> np.ndarray:
     return codes
 
 
-def expected_pattern_codes(pair: str, n: int) -> np.ndarray:
+def expected_pattern_codes(pair: str, n: int):
     """The sign pattern asserted by the case analysis, expected_pattern_runs
     written out."""
     return _write_runs(expected_pattern_runs(pair, n), n)
@@ -367,12 +372,17 @@ def pattern_mismatch(pair: str, n: int) -> int | None:
 def distance_report(pair: str, n: int) -> DistanceReport:
     """Per-index diffs and observed sign pattern for any pair at order n."""
     s1, s2 = pair_spectra(pair, n)
-    diffs = s1 - s2
+    classes = observed_pattern_runs(pair, n)
+    # the names of the observed runs, written as _write_runs writes their codes
+    pattern, step = [None] * n, len(classes)
+    for runs in classes:
+        for first, last, code in runs:
+            pattern[first - 1 : last : step] = (_CODE_NAMES[code],) * ((last - first) // step + 1)
     return DistanceReport(
         pair=pair,
         n=n,
         sigma=_sorted_sigma(s1, s2),
-        diffs=tuple(diffs.tolist()),
-        pattern=tuple(_CODE_NAMES[_write_runs(observed_pattern_runs(pair, n), n)].tolist()),
+        diffs=tuple((s1 - s2).tolist()),
+        pattern=tuple(pattern),
     )
 

@@ -8,7 +8,7 @@ interpreter or older than ``_jacobi.c`` is first built by the C compiler
 Python was configured with (``$CC`` if set), under a temporary name that is
 then moved into place.  An installed package ships the built kernel and no
 ``_jacobi.c``, and only imports it.  A failed build raises OSError naming the
-compiler's failure.
+compiler's failure.  numpy too is imported at the first numeric call.
 
 ``jacobi_sweeps`` is read by symmetric_eigenvalues at each call; the kernel
 rotates in place and leaves the eigenvalues on the diagonal, in the input's
@@ -22,8 +22,6 @@ import importlib
 import os
 import sysconfig
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConvergenceError, NonSymmetricMatrixError
 
@@ -89,6 +87,8 @@ def symmetric_eigenvalues(m):
     Raises NonSymmetricMatrixError for asymmetric input, ConvergenceError if
     the sweep budget is exhausted and OSError if the kernel cannot be built.
     """
+    import numpy as np
+
     a = np.array(m, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricMatrixError(f"expected a square matrix, got shape {a.shape}")

@@ -6,15 +6,15 @@ spine end n-3; W_n (s = n-4) hangs n-4, n-3 on spine end 0 and n-2, n-1 on
 spine end n-5.  Z_n and W_n are the paper's coalescences: Z_n joins an end of
 P_{n-2} to the centre of P_3, W_n joins Z_{n-2}'s vertex 0 to the centre of
 P_3.  The fixed labels keep adjacency matrices bit-reproducible across runs.
+Only build_family and adjacency_matrix import numpy, when called.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import OrderTooLargeError, OrderTooSmallError
 
@@ -35,7 +35,8 @@ MIN_ORDER = {
 
 # Largest order whose n float64 eigenvalues fit in one numpy array; above it
 # numpy refuses the allocation or, near 2**63, silently returns an empty range.
-MAX_ORDER = np.iinfo(np.intp).max // 8
+# sys.maxsize is Py_ssize_t's maximum, which is numpy's intp.
+MAX_ORDER = sys.maxsize // 8
 
 
 def family_orders(lo: int, hi: int):
@@ -94,6 +95,8 @@ def build_family(spec: FamilySpec) -> Graph:
     """The family member for the dense oracle, laid out as the module states.
     An order whose adjacency matrix cannot exist, or cannot fit in memory,
     raises before any edge is built."""
+    import numpy as np
+
     n = spec.n
     _check_dense_order(n)
     np.empty((n, n))  # reserves without touching memory; MemoryError if it cannot
@@ -106,8 +109,10 @@ def build_family(spec: FamilySpec) -> Graph:
     return Graph(n, frozenset([*((i, i + 1) for i in range(s - 1)), *added]))
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix with zero diagonal."""
+def adjacency_matrix(g: Graph):
+    """Dense 0/1 adjacency matrix (a float64 numpy array) with zero diagonal."""
+    import numpy as np
+
     _check_dense_order(g.n)
     m = np.zeros((g.n, g.n))
     for u, v in g.edges:

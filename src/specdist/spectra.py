@@ -3,26 +3,27 @@
 angle_progressions states each family's spectrum once, as exact angles
 pi num/den; closed_spectrum writes them out as cosines.  The closed forms and
 the Jacobi eigensolver act as mutual oracles; spectrum_deviation measures
-their sup-norm disagreement.
+their sup-norm disagreement.  Every function but angle_progressions imports
+numpy when called.
 """
 
 import io
 import math
-
-import numpy as np
 
 from .errors import LengthMismatchError
 from .eigensolver import symmetric_eigenvalues
 from .graphs import Family, FamilySpec
 
 
-def closed_spectrum(spec: FamilySpec) -> np.ndarray:
+def closed_spectrum(spec: FamilySpec):
     """Closed-form eigenvalues of the family member, descending, with
     multiplicities as repeated entries: angle_progressions written out as
     2 cos(pi num / den).  An angle of exactly pi/2 gives an exact 0.0.
     """
     if not isinstance(spec, FamilySpec):
         raise TypeError("closed_spectrum expects a FamilySpec")
+    import numpy as np
+
     pieces, den = angle_progressions(spec.family, spec.n)
     # k, turned into a + b k piece by piece; np.empty raises MemoryError for
     # an order too large to hold, where np.arange near MAX_ORDER rounds its
@@ -63,14 +64,18 @@ def angle_progressions(family, n: int):
     return pieces, 2 * n - 6
 
 
-def numeric_spectrum(m) -> np.ndarray:
+def numeric_spectrum(m):
     """Eigenvalues of a symmetric matrix via Jacobi sweeps, sorted descending."""
+    import numpy as np
+
     values = symmetric_eigenvalues(m)
     return np.sort(values)[::-1].copy()
 
 
 def spectrum_deviation(a, b) -> float:
     """Sup-norm distance between two equal-length spectra."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -82,6 +87,8 @@ def spectrum_deviation(a, b) -> float:
 
 def spectrum_to_csv(values) -> str:
     """CSV export with columns index,eigenvalue at 17 significant digits."""
+    import numpy as np
+
     buf = io.StringIO()
     buf.write("index,eigenvalue\n")
     for i, v in enumerate(np.asarray(values, dtype=float), start=1):

@@ -33,6 +33,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(code, *argv):
+    """python -c code with argv, in a fresh interpreter on this source tree."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+    )
+
+
 class TestSpectrum:
     def test_closed_cycle(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--family", "c", "--n", "4")
@@ -583,9 +591,37 @@ class TestParserReuse:
         assert main(["dist", "--pair", "pz", "--n", "9"]) == 7
 
     def test_not_built_at_import(self):
-        probe = "import specdist.cli as c; print(c.build_parser.cache_info().currsize)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
-        )
-        assert proc.stdout == "0\n"
+        proc = run_fresh("import specdist.cli as c; print(c.build_parser.cache_info().currsize)")
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+class TestWithoutNumpy:
+    """Importing the package loads no numpy, and the closed-form commands run
+    where every import of numpy raises, printing what a normal run prints."""
+
+    BLOCKED = ("import sys; sys.modules['numpy'] = None\n"
+               "from specdist.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    def test_import_loads_no_numpy(self):
+        proc = run_fresh("import sys, specdist, specdist.cli; print('numpy' in sys.modules)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--pair", "pz", "--residue", "1", "--format", "json"),
+        *(("dist", "--pair", pair, "--n", "1000002", "--mode", "closed")
+          for pair in ("pz", "wz", "pw", "cz")),
+        *(("verify", "--check", "interlacing", "--pair", pair, "--n", "4..500")
+          for pair in ("pz", "wz", "cz")),
+        ("verify", "--check", "bipartite-symmetry", "--n", "4..500"),
+    ])
+    def test_closed_commands_match_a_normal_run(self, capsys, argv):
+        proc = run_fresh(self.BLOCKED, *argv)
+        assert run(capsys, *argv) == (0, proc.stdout, "")
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_scan_out_file_matches_a_normal_run(self, capsys, tmp_path):
+        argv = ("scan", "--pair", "cz", "--format", "csv", "--out")
+        proc = run_fresh(self.BLOCKED, *argv, str(tmp_path / "blocked.csv"))
+        assert run(capsys, *argv, str(tmp_path / "normal.csv")) == (0, proc.stdout, "")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()

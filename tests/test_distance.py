@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -467,8 +468,7 @@ class TestClosedAngles:
     @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
     def test_pattern_too_large_raises_before_allocating(self, pair, monkeypatch):
         # the O(1) verdict has no int64 bound, only the closed forms' one
-        monkeypatch.setattr(spectra, "np", None)
-        monkeypatch.setattr(distance, "np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises
         with pytest.raises(OrderTooLargeError):
             pattern_mismatch(pair, MAX_CLOSED_ORDER + 2)
         assert pattern_mismatch(pair, MAX_CLOSED_ORDER) is None
@@ -538,8 +538,7 @@ class TestO1Verdict:
 
     @pytest.mark.parametrize("pair", ["pz", "wz", "cz"])
     def test_huge_orders_without_numpy(self, pair, monkeypatch):
-        monkeypatch.setattr(spectra, "np", None)
-        monkeypatch.setattr(distance, "np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises
         for n in (10**9, 10**12, 1518500250):  # the last has 4n^2 > 2^63
             assert pattern_mismatch(pair, n) is None, n
 
@@ -599,8 +598,7 @@ class TestSymmetryVerdict:
                 assert symmetry_mismatch(family, n) == dense, (family, n, i)
 
     def test_huge_orders_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(spectra, "np", None)
-        monkeypatch.setattr(distance, "np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises
         for n in (MAX_CLOSED_ORDER, 2**60 - 1):  # the second is graphs.MAX_ORDER
             for family in "pzw":
                 assert symmetry_mismatch(family, n) is None, (family, n)

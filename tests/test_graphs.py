@@ -186,6 +186,10 @@ class TestEdgeSets:
             with pytest.raises(OrderTooLargeError, match=rf"^{label} requires n <= {MAX_ORDER}$"):
                 FamilySpec(family, MAX_ORDER + 1)
 
+    def test_max_order_is_numpy_bound(self):
+        # stated without numpy, as the largest n float64 values one array holds
+        assert MAX_ORDER == np.iinfo(np.intp).max // 8
+
 
 class TestStructuralSteps:
     """Removing a spine end or edge leaves a smaller family member, for n < 60."""

@@ -1,9 +1,12 @@
 """Spectral distances between paths, cycles and the snake trees Z_n, W_n.
 
-numpy is imported inside each function that builds or reads an array, not at
-the top of any module, so importing the package, the closed forms, the exact
-sign patterns and the limit scans never load it: they use Python ints and
-math alone.
+Importing the package loads only what the closed forms use from the standard
+library (math, json, enum, collections and pathlib; specdist.cli adds
+argparse), so the closed forms, the exact sign patterns and the limit scans
+run on Python ints and math alone.  The records are namedtuples: dataclasses
+would bring inspect, ast and dis.  numpy is imported inside each function
+that builds or reads an array, and sysconfig where the Jacobi kernel is
+loaded, both at the first numeric call.
 """
 
 from .distance import (

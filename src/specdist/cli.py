@@ -1,12 +1,13 @@
 """Command-line front end: spectrum, dist, verify and scan subcommands.
 
 Exit codes: 0 success, 1 verification failure or scan tolerance exceeded,
-2 misuse, or a numeric command whose Jacobi kernel cannot be built, 3
-internal inconsistency between the direct and closed sigma paths, 4 the
-Jacobi eigensolver exhausted its sweep budget.  Every exit 2 is one
-"error: ..." line that main() alone prints: handlers raise UsageError, the
-modules' order, residue and sample errors are UsageErrors too, and the kernel
-build's OSError passes through unchanged.
+2 misuse, a numeric command whose Jacobi kernel cannot be built, or an array
+command where numpy cannot be imported, 3 internal inconsistency between the
+direct and closed sigma paths, 4 the Jacobi eigensolver exhausted its sweep
+budget.  Every exit 2 is one "error: ..." line that main() alone prints:
+handlers raise UsageError, the modules' order, residue and sample errors are
+UsageErrors too, the kernel build's OSError passes through unchanged, and
+numpy's ModuleNotFoundError is named as such; any other ImportError is raised.
 SPECTRA_TOL overrides the scan acceptance tolerance.  spectrum's --source
 defaults to closed for --family and numeric for --graph-file.  One loop serves
 verify's four checks: interlacing and bipartite-symmetry are decided exactly;
@@ -286,6 +287,11 @@ def main(argv=None):
         return globals()[f"run_{args.command}"](args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: this command needs numpy: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an order too large for this machine's memory
         print(f"error: out of memory: {exc}", file=sys.stderr)

@@ -6,11 +6,9 @@ The cz pair always compares C_n with Z_n at even order n.  Only the
 functions that build or read float spectra import numpy, when called.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     LengthMismatchError,
@@ -192,15 +190,11 @@ def check_additivity(n: int) -> float:
 _CODE_NAMES = ("equal", "G1_above", "G2_above")
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    """Per-index comparison of a pair's spectra at one order."""
+class DistanceReport(namedtuple("DistanceReport", "pair n sigma diffs pattern")):
+    """Per-index comparison of a pair's spectra at one order: float diffs and
+    pattern names, one per index."""
 
-    pair: str
-    n: int
-    sigma: float
-    diffs: tuple[float, ...]
-    pattern: tuple[str, ...]
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps(

@@ -8,7 +8,9 @@ interpreter or older than ``_jacobi.c`` is first built by the C compiler
 Python was configured with (``$CC`` if set), under a temporary name that is
 then moved into place.  An installed package ships the built kernel and no
 ``_jacobi.c``, and only imports it.  A failed build raises OSError naming the
-compiler's failure.  numpy too is imported at the first numeric call.
+compiler's failure.  numpy and sysconfig, which names the kernel's file and
+the compiler's flags, are imported at the first numeric call too; shlex and
+subprocess only when a build runs.
 
 ``jacobi_sweeps`` is read by symmetric_eigenvalues at each call; the kernel
 rotates in place and leaves the eigenvalues on the diagonal, in the input's
@@ -20,7 +22,6 @@ import contextlib
 import functools
 import importlib
 import os
-import sysconfig
 from pathlib import Path
 
 from .errors import ConvergenceError, NonSymmetricMatrixError
@@ -37,6 +38,7 @@ def _compile(target):
     # imported here, so that importing the package does not load them
     import shlex
     import subprocess
+    import sysconfig
 
     var = sysconfig.get_config_var
     flags = f"{os.environ.get('CC') or var('CC')} {var('CFLAGS')} {var('CCSHARED')}"
@@ -58,6 +60,8 @@ def _compile(target):
 @functools.cache
 def _kernel():
     """The compiled jacobi_sweeps, built first when the source is newer."""
+    import sysconfig
+
     if _SOURCE.exists():
         target = _SOURCE.with_name("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
         if not target.exists() or target.stat().st_mtime < _SOURCE.stat().st_mtime:

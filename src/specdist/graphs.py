@@ -9,11 +9,9 @@ P_3.  The fixed labels keep adjacency matrices bit-reproducible across runs.
 Only build_family and adjacency_matrix import numpy, when called.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import OrderTooLargeError, OrderTooSmallError
@@ -47,43 +45,40 @@ def family_orders(lo: int, hi: int):
             yield family, n
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "family n")):
     """A graph family together with its order."""
 
-    family: Family
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, family, n: int):
         """Raise unless n is a valid order of the family: OrderTooSmallError
         below MIN_ORDER, OrderTooLargeError above MAX_ORDER."""
-        family = Family(self.family)
-        object.__setattr__(self, "family", family)
+        family = Family(family)
         label, minimum = family.value.upper(), MIN_ORDER[family]
-        if self.n < minimum:
+        if n < minimum:
             raise OrderTooSmallError(f"{label} requires n >= {minimum}")
-        if self.n > MAX_ORDER:
+        if n > MAX_ORDER:
             raise OrderTooLargeError(f"{label} requires n <= {MAX_ORDER}")
+        return super().__new__(cls, family, n)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph: vertex count plus a set of (i, j) pairs, i < j."""
+class Graph(namedtuple("Graph", "n edges")):
+    """Undirected simple graph: vertex count plus a frozenset of (i, j) pairs,
+    i < j."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, edges):
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
         normalized = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(normalized))
+        return super().__new__(cls, n, frozenset(normalized))
 
 
 def _check_dense_order(n: int):

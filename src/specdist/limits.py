@@ -6,12 +6,10 @@ never enters here.  Limits are estimated by first-order Richardson
 extrapolation on an approximately doubling grid.
 """
 
-from __future__ import annotations
-
 import io
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .distance import MAX_CLOSED_ORDER, pair_min_order, pair_orders, sigma_closed
 from .errors import InsufficientSamplesError, OrderTooSmallError, ResidueMismatchError
@@ -92,19 +90,15 @@ def default_grid(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> list[in
     return grid
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
-    """A sampled sigma sequence with its extrapolated limit."""
+class LimitEstimate(namedtuple("LimitEstimate",
+                               "pair residue samples extrapolated target abs_error")):
+    """A sampled sigma sequence, a tuple of (n, sigma), with its extrapolated
+    limit; residue is None for cz."""
 
-    pair: str
-    residue: int | None
-    samples: tuple[tuple[int, float], ...]
-    extrapolated: float
-    target: float
-    abs_error: float
+    __slots__ = ()
 
     def to_json(self) -> str:
-        return json.dumps(vars(self))
+        return json.dumps(self._asdict())
 
     def to_csv(self) -> str:
         """Scan CSV: pair,residue,n,sigma,target,abs_error per sample row."""

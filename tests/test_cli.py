@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -606,6 +607,14 @@ class TestWithoutNumpy:
         proc = run_fresh("import sys, specdist, specdist.cli; print('numpy' in sys.modules)")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
+    def test_import_loads_none_of_the_heavy_modules(self):
+        # dataclasses would bring inspect, ast and dis; sysconfig only the
+        # kernel build needs
+        heavy = ["numpy", "dataclasses", "inspect", "sysconfig"]
+        proc = run_fresh("import sys, specdist, specdist.cli\n"
+                         f"print(sorted(set({heavy}) & set(sys.modules)))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     @pytest.mark.parametrize("argv", [
         ("scan", "--pair", "pz", "--residue", "1", "--format", "json"),
         *(("dist", "--pair", pair, "--n", "1000002", "--mode", "closed")
@@ -618,6 +627,33 @@ class TestWithoutNumpy:
         proc = run_fresh(self.BLOCKED, *argv)
         assert run(capsys, *argv) == (0, proc.stdout, "")
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--family", "p", "--n", "5"),
+        ("spectrum", "--family", "z", "--n", "4", "--source", "both", "--format", "json"),
+        *(("dist", "--pair", "pz", "--n", "100", "--mode", mode)
+          for mode in ("direct", "both")),
+        ("dist", "--pair", "cz", "--n", "100", "--mode", "closed", "--format", "json"),
+        ("verify", "--check", "additivity", "--n", "6..10"),
+        ("verify", "--check", "oracle", "--n", "4..10"),
+    ])
+    def test_array_commands_exit_2_naming_numpy(self, argv):
+        proc = run_fresh(self.BLOCKED, *argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"error: this command needs numpy: [^\n]*numpy[^\n]*\n", proc.stderr)
+
+    @pytest.mark.parametrize("exc", [
+        ModuleNotFoundError("No module named 'mpmath'", name="mpmath"),
+        ImportError("numpy is installed but broken", name="numpy"),
+    ])
+    def test_any_other_import_error_surfaces(self, monkeypatch, exc):
+        def run_scan(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_scan", run_scan)
+        with pytest.raises(ImportError) as info:
+            main(["scan", "--pair", "cz"])
+        assert info.value is exc
 
     def test_scan_out_file_matches_a_normal_run(self, capsys, tmp_path):
         argv = ("scan", "--pair", "cz", "--format", "csv", "--out")

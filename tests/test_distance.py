@@ -668,6 +668,18 @@ class TestReportJson:
                     assert tuple(payload["diffs"]) == report.diffs
                     assert tuple(payload["pattern"]) == labels
 
+    def test_repr_and_fields_cannot_be_assigned(self):
+        report = distance_report("cz", 4)
+        assert repr(report) == (
+            "DistanceReport(pair='cz', n=4, sigma=0.5358983848622452, "
+            "diffs=(0.2679491924311226, 0.0, 0.0, -0.2679491924311226), "
+            "pattern=('G1_above', 'equal', 'equal', 'G2_above'))"
+        )
+        for field in ("pair", "n", "sigma", "diffs", "pattern"):
+            with pytest.raises(AttributeError):
+                setattr(report, field, None)
+        assert report == distance_report("cz", 4)
+
     @pytest.mark.parametrize("pair", PAIRS)
     def test_pattern_past_a_million(self, pair):
         # the written-out runs at orders where the diffs alone fill megabytes:

@@ -56,16 +56,34 @@ def spine(s):
 
 class TestGraphType:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
             Graph(3, frozenset([(1, 1)]))
 
     def test_rejects_out_of_range_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for n=3$"):
             Graph(3, frozenset([(0, 3)]))
+        with pytest.raises(ValueError, match=r"^edge \(-1, 0\) out of range for n=3$"):
+            Graph(3, frozenset([(-1, 0)]))
+
+    def test_rejects_no_vertex(self):
+        with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+            Graph(0, frozenset())
 
     def test_normalizes_edge_orientation(self):
         g = Graph(3, frozenset([(2, 0)]))
         assert (0, 2) in g.edges
+        g = Graph(3, [(2, 0), (0, 2), (1, 2)])
+        assert g.edges == frozenset({(0, 2), (1, 2)}) and type(g.edges) is frozenset
+
+    def test_repr(self):
+        assert repr(Graph(3, frozenset([(2, 0)]))) == "Graph(n=3, edges=frozenset({(0, 2)}))"
+
+    def test_fields_cannot_be_assigned(self):
+        g = Graph(3, frozenset())
+        for field in ("n", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(g, field, 4)
+        assert g == Graph(3, frozenset())
 
 
 class TestPath:
@@ -270,6 +288,22 @@ class TestFamilySpec:
 
     def test_accepts_codes(self):
         assert FamilySpec("z", 4).family is Family.Z_TREE
+
+    def test_repr(self):
+        assert repr(FamilySpec("p", 4)) == "FamilySpec(family=<Family.PATH: 'p'>, n=4)"
+        assert FamilySpec(family="c", n=3) == FamilySpec(Family.CYCLE, 3)
+
+    def test_rejects_unknown_family(self):
+        # too small and too large: TestEdgeSets.test_order_messages
+        with pytest.raises(ValueError, match="^'x' is not a valid Family$"):
+            FamilySpec("x", 4)
+
+    def test_fields_cannot_be_assigned(self):
+        spec = FamilySpec("p", 4)
+        for field in ("family", "n"):
+            with pytest.raises(AttributeError):
+                setattr(spec, field, 5)
+        assert spec == FamilySpec("p", 4)
 
 
 class TestEdgeList:

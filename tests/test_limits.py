@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdist import (
     L_STAR,
@@ -13,6 +15,26 @@ from specdist import (
     target_constant,
 )
 from specdist.errors import InsufficientSamplesError, OrderTooSmallError, ResidueMismatchError
+from specdist.limits import _DOUBLING_WINDOW
+
+SCAN_CLASSES = [(p, r) for p in ("pz", "wz", "pw") for r in range(4)] + [("cz", None)]
+
+
+# sequence_scan("cz", n_max=1000) as printed, pinned across changes of its record type
+CZ_1000_REPR = (
+    "LimitEstimate(pair='cz', residue=None, samples=((4, 0.5358983848622456), "
+    "(8, 1.4920793246745923), (16, 1.7787749703416142), (32, 1.896001194944172), "
+    "(64, 1.9495012846158095), (128, 1.9751087995559355), (256, 1.9876419269557661), "
+    "(512, 1.9938426005059384)), extrapolated=2.000043274056111, target=2.0, "
+    "abs_error=4.327405611093127e-05)"
+)
+CZ_1000_JSON = (
+    '{"pair": "cz", "residue": null, "samples": [[4, 0.5358983848622456], '
+    '[8, 1.4920793246745923], [16, 1.7787749703416142], [32, 1.896001194944172], '
+    '[64, 1.9495012846158095], [128, 1.9751087995559355], [256, 1.9876419269557661], '
+    '[512, 1.9938426005059384]], "extrapolated": 2.000043274056111, "target": 2.0, '
+    '"abs_error": 4.327405611093127e-05}'
+)
 
 
 class TestTargets:
@@ -109,6 +131,28 @@ class TestGrid:
             sequence_scan("cz", residue=residue)
 
 
+@settings(max_examples=200, deadline=None)
+@given(cls=st.sampled_from(SCAN_CLASSES),
+       n_max=st.one_of(st.integers(1, 10**4), st.integers(1, 10**150)))
+def test_grids_end_in_a_doubling(cls, n_max):
+    # richardson_extrapolate's plain ValueError for a last step outside the
+    # window is no UsageError; a scan cannot meet it, since every grid of 3 or
+    # more orders ends in a step inside the window.  A smaller n_max cuts the
+    # same grid shorter, so every step after the first is some grid's last.
+    try:
+        grid = default_grid(*cls, n_max=n_max)
+    except OrderTooSmallError:
+        return
+    assert grid[-1] <= n_max
+    if len(grid) > 1:
+        assert default_grid(*cls, n_max=grid[-1] - 1) == grid[:-1]
+    lo, hi = _DOUBLING_WINDOW
+    for k in range(3, len(grid) + 1):
+        assert lo <= grid[k - 1] / grid[k - 2] <= hi, (cls, grid[:k])
+    if len(grid) >= 3:
+        assert richardson_extrapolate([(n, 0.0) for n in grid]) == 0.0
+
+
 class TestSequenceScan:
     def test_pz_residue_0_sequence(self):
         est = sequence_scan("pz", residue=0, n_max=100_000)
@@ -136,6 +180,19 @@ class TestSequenceScan:
         assert payload["residue"] is None
         assert payload["extrapolated"] == est.extrapolated
         assert [tuple(s) for s in payload["samples"]] == list(est.samples)
+
+    def test_json_bytes(self):
+        assert sequence_scan("cz", n_max=1000).to_json() == CZ_1000_JSON
+
+    def test_repr(self):
+        assert repr(sequence_scan("cz", n_max=1000)) == CZ_1000_REPR
+
+    def test_fields_cannot_be_assigned(self):
+        est = sequence_scan("cz", n_max=1000)
+        for field in ("pair", "residue", "samples", "extrapolated", "target", "abs_error"):
+            with pytest.raises(AttributeError):
+                setattr(est, field, None)
+        assert est.to_json() == CZ_1000_JSON
 
     def test_csv_shape(self):
         est = sequence_scan("wz", residue=2, n_max=500)

@@ -19,7 +19,7 @@ from .distance import (
     sigma_closed,
     sigma_direct,
 )
-from .eigensolver import ACTIVE_BACKEND, symmetric_eigenvalues
+from .eigensolver import symmetric_eigenvalues
 from .graphs import (
     Family,
     FamilySpec,

@@ -114,16 +114,14 @@ mirror(double *a, Py_ssize_t n)
 }
 
 static PyObject *
-jacobi_sweeps(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+jacobi_sweeps(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    static char *kwlist[] = {"a", "max_sweeps", "tol", NULL};
     PyObject *obj;
     int max_sweeps;
     double tol;
     Py_buffer view;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oid:jacobi_sweeps", kwlist,
-                                     &obj, &max_sweeps, &tol))
+    if (!PyArg_ParseTuple(args, "Oid:jacobi_sweeps", &obj, &max_sweeps, &tol))
         return NULL;
     if (PyObject_GetBuffer(obj, &view,
                            PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
@@ -159,11 +157,12 @@ jacobi_sweeps(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 }
 
 static PyMethodDef methods[] = {
-    {"jacobi_sweeps", (PyCFunction)(void (*)(void))jacobi_sweeps,
-     METH_VARARGS | METH_KEYWORDS,
-     "jacobi_sweeps($module, /, a, max_sweeps, tol)\n--\n\n"
+    {"jacobi_sweeps", jacobi_sweeps, METH_VARARGS,
+     "jacobi_sweeps($module, a, max_sweeps, tol, /)\n--\n\n"
      "Rotate a in place until its off-diagonal Frobenius norm is below tol;\n"
      "return (converged, sweeps_used), eigenvalues on the diagonal of a.\n"
+     "All three arguments are positional: a, a writable C-contiguous square\n"
+     "float64 buffer; max_sweeps, an int sweep budget; tol, a float.\n"
      "Only the upper triangle of a is read; the lower one is overwritten\n"
      "with its mirror image."},
     {NULL, NULL, 0, NULL},

@@ -197,10 +197,7 @@ class DistanceReport(namedtuple("DistanceReport", "pair n sigma diffs pattern"))
     __slots__ = ()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"pair": self.pair, "n": self.n, "sigma": self.sigma,
-             "diffs": self.diffs, "pattern": self.pattern}
-        )
+        return json.dumps(self._asdict())
 
 
 # Sign patterns as runs: a pattern is a tuple of run lists, one per class

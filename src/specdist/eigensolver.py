@@ -7,10 +7,10 @@ the closed-form paths never need it.  In a source checkout, where
 interpreter or older than ``_jacobi.c`` is first built by the C compiler
 Python was configured with (``$CC`` if set), under a temporary name that is
 then moved into place.  An installed package ships the built kernel and no
-``_jacobi.c``, and only imports it.  A failed build raises OSError naming the
-compiler's failure.  numpy and sysconfig, which names the kernel's file and
-the compiler's flags, are imported at the first numeric call too; shlex and
-subprocess only when a build runs.
+``_jacobi.c``, and only imports it.  A failed build, compiler flags that shlex
+cannot split included, raises one OSError naming the cause.  numpy and
+sysconfig, which names the kernel's file and the compiler's flags, are imported
+at the first numeric call too; shlex and subprocess only when a build runs.
 
 ``jacobi_sweeps`` is read by symmetric_eigenvalues at each call; the kernel
 rotates in place and leaves the eigenvalues on the diagonal, in the input's
@@ -34,7 +34,7 @@ _SOURCE = Path(__file__).with_name("_jacobi.c")
 
 
 def _compile(target):
-    """Compile _SOURCE to target; raise OSError if the compiler fails."""
+    """Compile _SOURCE to target; every failure raises one OSError naming it."""
     # imported here, so that importing the package does not load them
     import shlex
     import subprocess
@@ -43,15 +43,20 @@ def _compile(target):
     var = sysconfig.get_config_var
     flags = f"{os.environ.get('CC') or var('CC')} {var('CFLAGS')} {var('CCSHARED')}"
     tmp = target.with_name(f"_jacobi-{os.getpid()}.tmp")
-    command = [*shlex.split(flags), "-I", var("INCLUDEPY"), "-shared", str(_SOURCE),
-               "-o", str(tmp), "-lm"]
     try:
+        command = [*shlex.split(flags), "-I", var("INCLUDEPY"), "-shared", str(_SOURCE),
+                   "-o", str(tmp), "-lm"]
         proc = subprocess.run(command, capture_output=True, text=True)
         if proc.returncode != 0:
             said = (proc.stderr or proc.stdout).strip().splitlines()
             raise OSError(f"{command[0]} exited with status {proc.returncode}"
                           + (f": {said[0]}" if said else ""))
         os.replace(tmp, target)
+    except (OSError, ValueError) as exc:  # shlex.split raises ValueError
+        raise OSError(
+            f"cannot build the Jacobi kernel {target.name}: {exc}; numeric "
+            "spectra need a C compiler, or a package built by pip install -e ."
+        ) from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -65,13 +70,7 @@ def _kernel():
     if _SOURCE.exists():
         target = _SOURCE.with_name("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
         if not target.exists() or target.stat().st_mtime < _SOURCE.stat().st_mtime:
-            try:
-                _compile(target)
-            except OSError as exc:
-                raise OSError(
-                    f"cannot build the Jacobi kernel {target.name}: {exc}; numeric "
-                    "spectra need a C compiler, or a package built by pip install -e ."
-                ) from exc
+            _compile(target)
             importlib.invalidate_caches()
     from ._jacobi import jacobi_sweeps
 

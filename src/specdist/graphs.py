@@ -46,9 +46,10 @@ def family_orders(lo: int, hi: int):
 
 
 class FamilySpec(namedtuple("FamilySpec", "family n")):
-    """A graph family together with its order."""
+    """A graph family together with its order; _make and _replace check it too."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, family, n: int):
         """Raise unless n is a valid order of the family: OrderTooSmallError
@@ -64,9 +65,10 @@ class FamilySpec(namedtuple("FamilySpec", "family n")):
 
 class Graph(namedtuple("Graph", "n edges")):
     """Undirected simple graph: vertex count plus a frozenset of (i, j) pairs,
-    i < j."""
+    i < j, made from (u, v) pairs checked in their order, by _make and _replace too."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n: int, edges):
         if n < 1:
@@ -101,7 +103,7 @@ def build_family(spec: FamilySpec) -> Graph:
         Family.Z_TREE: (n - 2, ((n - 3, n - 2), (n - 3, n - 1))),
         Family.W_TREE: (n - 4, ((0, n - 4), (0, n - 3), (n - 5, n - 2), (n - 5, n - 1))),
     }[spec.family]
-    return Graph(n, frozenset([*((i, i + 1) for i in range(s - 1)), *added]))
+    return Graph(n, [*((i, i + 1) for i in range(s - 1)), *added])
 
 
 def adjacency_matrix(g: Graph):
@@ -141,11 +143,11 @@ def from_edge_list_text(text: str) -> Graph:
         n = int(count)
     except ValueError:
         raise _malformed(no, header, "n <count>") from None
-    edges = set()
+    edges = []
     for no, ln in lines[1:]:
         try:
             u, v = (int(tok) for tok in ln.split())
         except ValueError:
             raise _malformed(no, ln, "i j") from None
-        edges.add((u, v))
-    return Graph(n, frozenset(edges))
+        edges.append((u, v))
+    return Graph(n, edges)

@@ -120,12 +120,15 @@ class TestSpectrum:
         assert values[0] == pytest.approx(golden, abs=1e-10)
 
     def test_malformed_graph_file_exit_2(self, capsys, tmp_path):
-        # a non-integer vertex, a vertex outside 0..n-1, a three-token edge,
-        # a bad line after a blank one, a non-integer count, bytes that are
-        # not UTF-8, an order whose n x n matrix cannot be allocated
+        # a non-integer vertex, a vertex outside 0..n-1, two bad edges (the
+        # first in file order is named), a three-token edge, a bad line after
+        # a blank one, a non-integer count, bytes that are not UTF-8, an order
+        # whose n x n matrix cannot be allocated
         for text, reason in (
             (b"n 3\n0 x\n", """line 2: expected "i j", got '0 x'"""),
             (b"n 3\n0 7\n", "edge (0, 7) out of range for n=3"),
+            (b"n 3\n0 7\n1 1\n", "edge (0, 7) out of range for n=3"),
+            (b"n 3\n1 1\n0 7\n", "self-loop at vertex 1"),
             (b"n 3\n0 1 2\n", """line 2: expected "i j", got '0 1 2'"""),
             (b"n 3\n0 1\n\n1 y\n", """line 4: expected "i j", got '1 y'"""),
             (b"n three\n", """line 1: expected "n <count>", got 'n three'"""),
@@ -417,6 +420,14 @@ class TestVerify:
             run(capsys, "verify", "--check", "additivity", "--n", "10..4")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", ["abc", "1.."])
+    def test_malformed_range_exit_2(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "oracle", "--n", text])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f'range must look like "a..b", got {text!r}')
+
 
 class TestScan:
     def test_cz_within_tolerance(self, capsys, tmp_path):
@@ -494,6 +505,8 @@ class TestUsageErrors:
          "--graph-file takes no --family or --n"),
         (("spectrum", "--graph-file", "{bad}"), None,
          """{bad}: line 2: expected "i j", got '0 x'"""),
+        (("dist", "--pair", "cz", "--n", "5"), None,
+         "pair cz requires an even order"),
         (("verify", "--check", "interlacing", "--n", "4..10"), None,
          "interlacing requires --pair pz, wz or cz"),
         (("verify", "--check", "additivity", "--pair", "pz", "--n", "6..8"), None,

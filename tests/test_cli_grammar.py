@@ -1,0 +1,132 @@
+"""A property test over the command-line grammar: every argv drawn from the
+parser's own subcommands, options and choices, plus hostile values, ends in a
+documented exit code with its documented output, never in a traceback."""
+
+import argparse
+import contextlib
+import io
+import os
+import re
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specdist.cli import build_parser, main
+from specdist.graphs import MAX_ORDER
+
+
+def _mostly(valid, hostile, odds=20):
+    """A draw from valid, and one time in odds from hostile instead, so that
+    most command lines get past the parser."""
+    return st.integers(1, odds).flatmap(lambda i: hostile if i == odds else valid)
+
+
+# Orders for the commands that build arrays.  An order from about 1e6 to
+# MAX_ORDER - 65 passes every check, and the command then allocates up to
+# gigabytes, so these stay at 64 or below, or where a check or the allocator
+# refuses them at once.
+ARRAY_ORDERS = _mostly(
+    st.integers(-3, 64),
+    st.one_of(st.sampled_from([10**170, 10**200]), st.integers(MAX_ORDER - 64, MAX_ORDER + 1)),
+    odds=3,
+)
+# the closed forms, exact checks and scans cost O(1) or O(log n) per order
+ANY_ORDERS = _mostly(ARRAY_ORDERS, st.integers(-(10**200), 10**200), odds=3)
+NOT_AN_INT = st.sampled_from(["five", "", "1e3", "0x10"])
+NOT_A_RANGE = st.sampled_from(["abc", "1..", "..", "", "4..6..8", "5", "a..b"])
+SPECTRA_TOL = st.sampled_from([None, "abc", "nan", "-1", "inf", "", "1e-3"])
+
+GRAPH_FILES = {
+    "p3.txt": b"n 3\n0 1\n1 2\n",
+    "malformed.txt": b"n 3\n0 x\n",
+    "two-bad-edges.txt": b"n 3\n1 1\n0 7\n",
+    "no-vertex.txt": b"n 0\n",
+    "empty.txt": b"",
+    "undecodable.txt": b"n 3\n0 1\n\xff\xfe 2\n",
+    "too-large.txt": b"n 100000000000\n",
+}
+
+
+def _subcommands():
+    """name -> subparser, as build_parser() declares them."""
+    [action] = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _builds_arrays(command, values):
+    """Whether the command builds an array, and so needs ARRAY_ORDERS: every
+    spectrum, dist but in closed text mode, verify additivity and oracle."""
+    if command == "dist":
+        return values.get("mode", "direct") != "closed" or values.get("format") == "json"
+    if command == "verify":
+        return values.get("check") in ("additivity", "oracle")
+    return command == "spectrum"
+
+
+@st.composite
+def command_lines(draw, tmp):
+    commands = _subcommands()
+    command = draw(st.sampled_from(sorted(commands)))
+    actions = [a for a in commands[command]._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)
+               and draw(st.integers(0, 19)) < (19 if a.required else 10)]
+    values = {a.dest: draw(_mostly(st.sampled_from(list(map(str, a.choices))),
+                                   st.sampled_from(["x", "-1"])))
+              for a in actions if a.choices is not None}
+    orders = ARRAY_ORDERS if _builds_arrays(command, values) else ANY_ORDERS
+    for a in actions:
+        if a.dest in values:
+            continue
+        if a.dest == "out":
+            values[a.dest] = draw(st.sampled_from(["", "out.txt", "missing/out.txt"]))
+        elif a.dest == "graph_file":
+            values[a.dest] = draw(st.sampled_from([*GRAPH_FILES, "", "missing.txt"]))
+        elif a.type is int:
+            values[a.dest] = draw(_mostly(orders.map(str), NOT_AN_INT))
+        else:  # verify's --n range; an oracle range covers at most 8 orders
+            lo = draw(orders)
+            ranges = st.integers(-2, 7).map(lambda d: f"{lo}..{lo + d}")
+            values[a.dest] = draw(_mostly(ranges, NOT_A_RANGE))
+        if a.dest in ("out", "graph_file"):
+            values[a.dest] = os.path.join(tmp, values[a.dest])
+    argv = [command]
+    for a in draw(st.permutations(actions)):
+        # "--n -10..-2" reads its value as an option; "--n=-10..-2" does not
+        if draw(st.booleans()):
+            argv += [a.option_strings[0], values[a.dest]]
+        else:
+            argv.append(f"{a.option_strings[0]}={values[a.dest]}")
+    return argv
+
+
+def test_every_command_line_ends_in_a_documented_exit(tmp_path):
+    for name, data in GRAPH_FILES.items():
+        (tmp_path / name).write_bytes(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=command_lines(str(tmp_path)), spectra_tol=SPECTRA_TOL)
+    def check(argv, spectra_tol):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            os.environ.pop("SPECTRA_TOL", None)
+            if spectra_tol is not None:
+                os.environ["SPECTRA_TOL"] = spectra_tol
+            try:
+                code, by_parser = main(argv), False
+            except SystemExit as exc:
+                code, by_parser = exc.code, True
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3, 4), (argv, code)
+        if by_parser:  # the usage, which may wrap, then one error line
+            lines = err.splitlines()
+            assert (code, out) == (2, ""), argv
+            assert lines[0].startswith(f"usage: specdist {argv[0]}"), (argv, err)
+            assert [ln for ln in lines if ": error: " in ln] == lines[-1:], (argv, err)
+            assert lines[-1].startswith(f"specdist {argv[0]}: error: "), (argv, err)
+        elif code == 2:
+            assert out == "" and re.fullmatch(r"error: [^\n]+\n", err), (argv, err)
+
+    check()

@@ -313,6 +313,13 @@ def test_compiled_kernel_rejects_bad_buffers(a):
         jacobi_sweeps(a, 10, 1e-12)
 
 
+def test_kernel_takes_positional_arguments_only():
+    jacobi_sweeps = eigensolver._kernel()
+    assert jacobi_sweeps.__text_signature__ == "($module, a, max_sweeps, tol, /)"
+    with pytest.raises(TypeError, match="takes no keyword arguments"):
+        jacobi_sweeps(np.eye(2), 10, tol=1e-12)
+
+
 # numeric commands need the kernel; the closed-form ones must run without it
 NUMERIC_COMMANDS = [
     ["spectrum", "--family", "z", "--n", "9", "--source", "both"],
@@ -399,4 +406,15 @@ def test_a_failed_build_leaves_no_partial_kernel(tmp_path):
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
     assert "exited with status 3: fake_cc: half-written output;" in line
+    assert _kernel_files(package) == ["_jacobi.c"]
+
+
+def test_compiler_flags_that_cannot_be_split_exit_2(tmp_path):
+    package = _package_copy(tmp_path)
+    argv = ["spectrum", "--family", "p", "--n", "4", "--source", "numeric"]
+    proc = _cli(tmp_path, argv, CC='gcc "x')
+    assert (proc.returncode, proc.stdout) == (2, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot build the Jacobi kernel "), line
+    assert ": No closing quotation; numeric spectra need a C compiler" in line
     assert _kernel_files(package) == ["_jacobi.c"]

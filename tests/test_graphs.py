@@ -1,3 +1,5 @@
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -49,6 +51,17 @@ def w_reference(n):
     return coalescence(z, 0, nx.path_graph(3), 1)
 
 
+def raised(call, *args, **kwargs):
+    """(type, message) of the exception that call(*args, **kwargs) raises."""
+    with pytest.raises(Exception) as info:
+        call(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+# three edges out of range for n = 4 and two self-loops
+BAD_EDGES = [(0, 7), (5, 9), (1, 1), (2, 8), (3, 3)]
+
+
 def spine(s):
     """The path edges of vertices 0..s-1 in order."""
     return {(i, i + 1) for i in range(s - 1)}
@@ -77,6 +90,19 @@ class TestGraphType:
 
     def test_repr(self):
         assert repr(Graph(3, frozenset([(2, 0)]))) == "Graph(n=3, edges=frozenset({(0, 2)}))"
+
+    def test_make_and_replace_check_as_the_constructor_does(self):
+        g = Graph(3, [(2, 0)])
+        for edges in ([(1, 1)], [(1, 1), (5, 9)], [(0, 3)]):
+            assert raised(g._replace, edges=edges) == raised(Graph, 3, edges)
+            assert raised(Graph._make, (3, edges)) == raised(Graph, 3, edges)
+        assert raised(g._replace, n=2) == raised(Graph, 2, g.edges)
+        assert raised(Graph._make, (0, [])) == raised(Graph, 0, [])
+        # a valid one comes out normalised
+        h = g._replace(edges=[(2, 1), (1, 2), (1, 0)])
+        assert h == Graph(3, frozenset({(0, 1), (1, 2)})) and type(h.edges) is frozenset
+        assert Graph._make([4, iter([(3, 0)])]) == Graph(4, frozenset({(0, 3)}))
+        assert g._replace(n=5) == Graph(5, frozenset({(0, 2)}))
 
     def test_fields_cannot_be_assigned(self):
         g = Graph(3, frozenset())
@@ -298,6 +324,19 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match="^'x' is not a valid Family$"):
             FamilySpec("x", 4)
 
+    def test_make_and_replace_check_as_the_constructor_does(self):
+        spec = FamilySpec("p", 4)
+        assert raised(FamilySpec._make, ("x", -1)) == raised(FamilySpec, "x", -1)
+        assert raised(spec._replace, n=0) == raised(FamilySpec, "p", 0)
+        assert raised(spec._replace, family="w") == raised(FamilySpec, "w", 4)
+        assert raised(FamilySpec._make, ("c", MAX_ORDER + 1)) == raised(
+            FamilySpec, "c", MAX_ORDER + 1)
+        assert raised(FamilySpec._make, ("c", 2))[0] is OrderTooSmallError
+        # a valid one comes out normalised: the code becomes the Family
+        assert spec._replace(family="z").family is Family.Z_TREE
+        assert spec._replace(family="c", n=5) == FamilySpec(Family.CYCLE, 5)
+        assert FamilySpec._make(["w", 6]) == FamilySpec(Family.W_TREE, 6)
+
     def test_fields_cannot_be_assigned(self):
         spec = FamilySpec("p", 4)
         for field in ("family", "n"):
@@ -321,6 +360,11 @@ class TestEdgeList:
 
     def test_header_split_on_any_whitespace(self):
         assert from_edge_list_text("n\t3\n0\t1\n1 2\n") == from_edge_list_text("n 3\n0 1\n1 2\n")
+
+    def test_names_the_first_bad_edge_in_file_order(self):
+        for first, second in itertools.permutations(BAD_EDGES, 2):
+            text = "n 4\n{} {}\n{} {}\n0 1\n".format(*first, *second)
+            assert raised(from_edge_list_text, text) == raised(Graph, 4, [first])
 
     def test_header_with_extra_field_malformed(self):
         with pytest.raises(ValueError, match=r"^line 1: expected \"n <count>\", got 'n 3 4'$"):

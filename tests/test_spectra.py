@@ -46,6 +46,10 @@ class TestClosedForms:
         with pytest.raises(OrderTooSmallError):
             closed_spectrum(FamilySpec("w", 5))
 
+    def test_takes_only_a_family_spec(self):
+        with pytest.raises(TypeError, match="^closed_spectrum expects a FamilySpec$"):
+            closed_spectrum(("p", 5))
+
 
 def textbook_angles(family, n):
     """The textbook spectrum of the family as (nums, den), each eigenvalue
@@ -143,6 +147,9 @@ class TestDeviation:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             spectrum_deviation([1.0], [1.0, 2.0])
+
+    def test_empty_spectra(self):
+        assert spectrum_deviation([], []) == 0.0
 
 
 FAMILY_RANGES = st.one_of(

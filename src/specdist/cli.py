@@ -20,7 +20,12 @@ verify checks run on Python ints and math alone and never load it (nor the
 Jacobi kernel, which only the numeric spectra load).
 
 main() builds the argument parser on its first call and reuses it for every
-later call in the process.  The parser holds no handler, tolerance or default
+later call in the process.  When argv[0] names a command, main() hands the
+rest of argv to that command's parser alone, so argv is read once; the
+top-level parser reads it only when argv is empty or argv[0] is not a
+command (--help, -h, an unknown command or an option before the command).
+Either way a rejected argument, unrecognized ones included, is reported by
+the parser that read it.  The parser holds no handler, tolerance or default
 of the program: each call looks up run_<command> in this module, the
 tolerances and limits.DEFAULT_N_MAX when it runs, so they can be patched
 between calls.
@@ -245,12 +250,14 @@ def run_scan(args):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process and shared by every main()
-    call; nothing may change it after it is built."""
+    call; nothing may change it after it is built.  Its commands attribute
+    maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="specdist",
         description="Spectral distances between paths, cycles and snake trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     sp = sub.add_parser("spectrum", help="Eigenvalues of a family member")
     sp.add_argument("--family", choices=[f.value for f in Family])
@@ -270,7 +277,8 @@ def build_parser():
     vp = sub.add_parser("verify", help="Run a verification suite over a range")
     vp.add_argument("--check", choices=list(_CHECKS), required=True)
     vp.add_argument("--pair", choices=[p for p in distance.PAIRS if p != "pw"])
-    vp.add_argument("--n", type=_parse_range, required=True, help='inclusive range "a..b"')
+    vp.add_argument("--n", type=_parse_range, required=True,
+                    help='inclusive range "a..b"; write --n=-3..0 for a start below zero')
 
     cp = sub.add_parser("scan", help="Scan a sigma sequence and extrapolate its limit")
     cp.add_argument("--pair", choices=distance.PAIRS, required=True)
@@ -282,7 +290,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # help, no command, or an unknown word or option first
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         return globals()[f"run_{args.command}"](args)
     except (UsageError, OSError) as exc:

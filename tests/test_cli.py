@@ -428,6 +428,19 @@ class TestVerify:
         assert (exc.value.code, out) == (2, "")
         assert err.splitlines()[-1].endswith(f'range must look like "a..b", got {text!r}')
 
+    def test_range_below_zero_needs_an_equals_sign(self, capsys):
+        # argparse reads "-3..0" after a space as an option, not as --n's value
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "oracle", "--n", "-3..0"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "specdist verify: error: argument --n: expected one argument"
+        )
+        assert run(capsys, "verify", "--check", "oracle", "--n=-3..0") == (
+            2, "", "error: no order in -3..0 is valid for oracle\n"
+        )
+
 
 class TestScan:
     def test_cz_within_tolerance(self, capsys, tmp_path):
@@ -482,6 +495,15 @@ class TestScan:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_unrecognized_argument_exit_2(self, capsys):
+        # reported by scan's own parser, as every other rejection after it
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--pair", "pz", "--residue", "1", "--bogus"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: specdist scan [-h] --pair")
+        assert err.endswith("\nspecdist scan: error: unrecognized arguments: --bogus\n")
 
 
 class TestUsageErrors:

@@ -1,6 +1,8 @@
-"""A property test over the command-line grammar: every argv drawn from the
-parser's own subcommands, options and choices, plus hostile values, ends in a
-documented exit code with its documented output, never in a traceback."""
+"""Property tests over the command-line grammar, on argv drawn from the
+parser's own subcommands, options and choices, plus hostile values and stray
+tokens: every command line ends in a documented exit code with its documented
+output, never in a traceback, and main(), which hands argv to the named
+command's parser alone, reads it as the full parser does."""
 
 import argparse
 import contextlib
@@ -9,9 +11,11 @@ import os
 import re
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdist import cli
 from specdist.cli import build_parser, main
 from specdist.graphs import MAX_ORDER
 
@@ -36,6 +40,8 @@ ANY_ORDERS = _mostly(ARRAY_ORDERS, st.integers(-(10**200), 10**200), odds=3)
 NOT_AN_INT = st.sampled_from(["five", "", "1e3", "0x10"])
 NOT_A_RANGE = st.sampled_from(["abc", "1..", "..", "", "4..6..8", "5", "a..b"])
 SPECTRA_TOL = st.sampled_from([None, "abc", "nan", "-1", "inf", "", "1e-3"])
+# appended to one command line in five; no command takes any of them
+STRAY = _mostly(st.just([]), st.sampled_from([["--bogus"], ["--bogus=1"], ["stray"]]), odds=5)
 
 GRAPH_FILES = {
     "p3.txt": b"n 3\n0 1\n1 2\n",
@@ -46,13 +52,6 @@ GRAPH_FILES = {
     "undecodable.txt": b"n 3\n0 1\n\xff\xfe 2\n",
     "too-large.txt": b"n 100000000000\n",
 }
-
-
-def _subcommands():
-    """name -> subparser, as build_parser() declares them."""
-    [action] = [a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
 
 
 def _builds_arrays(command, values):
@@ -67,7 +66,7 @@ def _builds_arrays(command, values):
 
 @st.composite
 def command_lines(draw, tmp):
-    commands = _subcommands()
+    commands = build_parser().commands
     command = draw(st.sampled_from(sorted(commands)))
     actions = [a for a in commands[command]._actions
                if a.option_strings and not isinstance(a, argparse._HelpAction)
@@ -98,7 +97,7 @@ def command_lines(draw, tmp):
             argv += [a.option_strings[0], values[a.dest]]
         else:
             argv.append(f"{a.option_strings[0]}={values[a.dest]}")
-    return argv
+    return argv + draw(STRAY)
 
 
 def test_every_command_line_ends_in_a_documented_exit(tmp_path):
@@ -130,3 +129,54 @@ def test_every_command_line_ends_in_a_documented_exit(tmp_path):
             assert out == "" and re.fullmatch(r"error: [^\n]+\n", err), (argv, err)
 
     check()
+
+
+def _outcome(parse, argv):
+    """(what parse(argv) returned, or its exit code; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = f"exit {exc.code}"
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    return vars(build_parser().parse_args(argv))
+
+
+def _main_parse(argv):
+    """The arguments that main() hands to its handler, as a dict."""
+    seen = []
+    handlers = {f"run_{name}": lambda args: seen.append(vars(args)) or 0
+                for name in build_parser().commands}
+    with mock.patch.multiple(cli, **handlers):
+        assert main(argv) == 0
+    return seen.pop()
+
+
+def test_main_reads_argv_as_the_full_parser_does(tmp_path):
+    @settings(max_examples=200, deadline=None)
+    @given(argv=command_lines(str(tmp_path)))
+    def check(argv):
+        full, by_main = _outcome(_full_parse, argv), _outcome(_main_parse, argv)
+        if "error: unrecognized arguments: " not in full[2]:
+            assert by_main == full, argv
+        else:  # the one change: the command's parser reports them
+            assert by_main[:2] == full[:2], argv
+            assert by_main[2].startswith(f"usage: specdist {argv[0]} "), by_main
+            assert by_main[2].splitlines()[-1] == full[2].splitlines()[-1].replace(
+                "specdist: ", f"specdist {argv[0]}: ", 1)
+
+    check()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["bogus"], ["--bogus", "scan", "--pair", "pz"],
+    ["-h", "scan"], ["scan", "--help"],
+], ids=repr)
+def test_help_and_no_command_first_match_the_full_parser(argv):
+    """Help, and argv whose first word is no command, which main() hands to
+    the top-level parser, print what the full parser prints, byte for byte."""
+    assert _outcome(_main_parse, argv) == _outcome(_full_parse, argv)

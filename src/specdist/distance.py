@@ -58,16 +58,24 @@ def check_pair_order(pair: str, n: int, closed: bool = False):
         raise OrderTooLargeError(f"pair {pair} requires n <= {MAX_CLOSED_ORDER:.0e}")
 
 
-def pair_orders(pair: str, lo: int, hi: int, residue=None) -> range:
-    """The orders in lo..hi that check_pair_order accepts (the closed-form
-    bound aside), ascending; with a residue, only those = residue (mod 4).
-    For cz, every even order; a residue is not used."""
+def first_pair_order(pair: str, lo: int, residue=None) -> int:
+    """The smallest order at least lo that check_pair_order accepts (the
+    closed-form bound aside); with a residue, the smallest = residue (mod 4).
+    For cz, the smallest even order; a residue is not used."""
     start = max(lo, pair_min_order(pair))
     if pair == "cz":
-        return range(start + start % 2, hi + 1, 2)
+        return start + start % 2
     if residue is None:
-        return range(start, hi + 1)
-    return range(start + (residue - start) % 4, hi + 1, 4)
+        return start
+    return start + (residue - start) % 4
+
+
+def pair_orders(pair: str, lo: int, hi: int, residue=None) -> range:
+    """The orders in lo..hi that check_pair_order accepts (the closed-form
+    bound aside), ascending, from first_pair_order: every even order for cz,
+    every fourth with a residue, else every order."""
+    step = 2 if pair == "cz" else 1 if residue is None else 4
+    return range(first_pair_order(pair, lo, residue), hi + 1, step)
 
 
 def pair_spectra(pair: str, n: int):
@@ -77,11 +85,11 @@ def pair_spectra(pair: str, n: int):
     return closed_spectrum(FamilySpec(f1, n)), closed_spectrum(FamilySpec(f2, n))
 
 
-def _sorted_sigma(a, b) -> float:
-    # l1 distance of two spectra that are already sorted descending
+def _l1(d) -> float:
+    # l1 norm of a difference of two spectra; d is overwritten by |d|
     import numpy as np
 
-    return float(np.sum(np.abs(a - b)))
+    return float(np.add.reduce(np.abs(d, out=d)))
 
 
 def sigma(a, b) -> float:
@@ -92,13 +100,14 @@ def sigma(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatchError(f"spectra have lengths {a.size} and {b.size}")
-    return _sorted_sigma(np.sort(a)[::-1], np.sort(b)[::-1])
+    return _l1(np.sort(a)[::-1] - np.sort(b)[::-1])
 
 
 def sigma_direct(pair: str, n: int) -> float:
     """sigma from the two closed-form spectra, no case analysis; they come
     sorted, so nothing is sorted again."""
-    return _sorted_sigma(*pair_spectra(pair, n))
+    s1, s2 = pair_spectra(pair, n)
+    return _l1(s1 - s2)
 
 
 def crossover_index(n: int) -> int:
@@ -128,11 +137,6 @@ def _residue_bounds(pair: str, n: int):
     return n_star, n_star + 1, n // 2 - 1, (n // 2,)
 
 
-def _sin_diff(x, y, x_minus_y):
-    """sin x - sin y, with x - y passed in so that nothing cancels."""
-    return 2.0 * math.cos(0.5 * (x + y)) * math.sin(0.5 * x_minus_y)
-
-
 def _sigma_from_prefix(pair, n):
     """sigma of pz or wz, 4 [g(k1_hi) + g(k2_lo - 1) - g(k2_hi)] on _residue_bounds, where
     g(K) sums g_k - h_k over k <= K, upper-half eigenvalues over 2 of the dominant-first
@@ -140,24 +144,30 @@ def _sigma_from_prefix(pair, n):
     (a, b over den) of spectra.angle_progressions sums over k <= K to sin(x) / (2 sin alpha)
     + c, with x = pi (2a + b(2K + 1)) / (2 den), alpha = pi b / (2 den), c = -1/2, 0, 1/2 for
     P, Z, W.  So g(K) = 1/2 + (1/(2 sin alpha) - 1/(2 sin beta)) sin x + (sin x - sin y) /
-    (2 sin beta): each part is O(1), each angle difference one exact integer over 2 den_G den_H."""
+    (2 sin beta): each part is O(1), each angle difference one exact integer over 2 den_G den_H,
+    and each sine difference sin u - sin v = 2 cos((u + v)/2) sin((u - v)/2), so nothing
+    cancels.  For n != 3 (mod 4), k2_lo - 1 = k1_hi, and the sum is the two-term
+    4 [2 g(k1_hi) - g(k2_hi)], computed as g(k1_hi) + g(k1_hi) - g(k2_hi)."""
     if pair == "pz":
         (ag, bg, dg), (ah, bh, dh) = (-1, 2, 2 * n - 2), (0, 1, n + 1)
     else:
         (ag, bg, dg), (ah, bh, dh) = (-2, 2, 2 * n - 6), (-1, 2, 2 * n - 2)
-    d = 2 * dg * dh
-    alpha, beta = bg * math.pi / (2 * dg), bh * math.pi / (2 * dh)
+    dg2, dh2 = 2 * dg, 2 * dh
+    d = dg2 * dh
+    alpha, beta = bg * math.pi / dg2, bh * math.pi / dh2
     sin_a, sin_b = math.sin(alpha), math.sin(beta)
-    coeff_gap = _sin_diff(beta, alpha, (bh * dg - bg * dh) * math.pi / d) / (2.0 * sin_a * sin_b)
+    sin_b2 = 2.0 * sin_b
+    coeff_gap = (2.0 * math.cos(0.5 * (beta + alpha))
+                 * math.sin(0.5 * ((bh * dg - bg * dh) * math.pi / d)) / (2.0 * sin_a * sin_b))
     k1_hi, k2_lo, k2_hi, _ = _residue_bounds(pair, n)
-    total = 0.0
-    for K, sign in ((k1_hi, 1.0), (k2_lo - 1, 1.0), (k2_hi, -1.0)):
+    g = []
+    for K in (k1_hi, k2_hi) if k2_lo - 1 == k1_hi else (k1_hi, k2_lo - 1, k2_hi):
         ug, uh = 2 * ag + bg * (2 * K + 1), 2 * ah + bh * (2 * K + 1)
-        x, y = ug * math.pi / (2 * dg), uh * math.pi / (2 * dh)
+        x, y = ug * math.pi / dg2, uh * math.pi / dh2
         x_minus_y = (ug * dh - uh * dg) * math.pi / d
-        gap = coeff_gap * math.sin(x) + _sin_diff(x, y, x_minus_y) / (2.0 * sin_b)
-        total += sign * (0.5 + gap)
-    return 4.0 * total
+        sin_diff = 2.0 * math.cos(0.5 * (x + y)) * math.sin(0.5 * x_minus_y)
+        g.append(0.5 + (coeff_gap * math.sin(x) + sin_diff / sin_b2))
+    return 4.0 * (g[0] + g[-2] - g[-1])  # g[-2] is g[0] when the two terms are one
 
 
 def sigma_closed(pair: str, n: int) -> float:
@@ -174,16 +184,22 @@ def sigma_closed(pair: str, n: int) -> float:
         return _sigma_from_prefix("pz", n) + _sigma_from_prefix("wz", n)
     m = n // 2
     x = math.pi / (4 * m - 2)
-    sign = 1.0 if m % 2 == 1 else -1.0
-    return 4.0 - 2.0 / math.cos(x) + 2.0 * sign * math.tan(x)
+    twice_sign = 2.0 if m % 2 == 1 else -2.0
+    return 4.0 - 2.0 / math.cos(x) + twice_sign * math.tan(x)
 
 
 def check_additivity(n: int) -> float:
     """Residual |sigma(P,W) - sigma(P,Z) - sigma(W,Z)| from closed spectra,
-    each built once."""
+    each built once; the three |differences| are summed row by row at once."""
+    import numpy as np
+
     check_pair_order("pw", n)
     p, z, w = (closed_spectrum(FamilySpec(f, n)) for f in "pzw")
-    return abs(_sorted_sigma(p, w) - _sorted_sigma(p, z) - _sorted_sigma(w, z))
+    diffs = np.empty((3, n))
+    for row, (a, b) in zip(diffs, ((p, w), (p, z), (w, z))):
+        np.subtract(a, b, out=row)
+    s_pw, s_pz, s_wz = np.add.reduce(np.abs(diffs, out=diffs), axis=1).tolist()
+    return abs(s_pw - s_pz - s_wz)
 
 
 # pattern names indexed by sign code: 0 equal, 1 G1 above, -1 (the last) G2 above
@@ -369,11 +385,13 @@ def distance_report(pair: str, n: int) -> DistanceReport:
     for runs in classes:
         for first, last, code in runs:
             pattern[first - 1 : last : step] = (_CODE_NAMES[code],) * ((last - first) // step + 1)
+    d = s1 - s2  # one subtraction for the diffs and for sigma
+    diffs = tuple(d.tolist())
     return DistanceReport(
         pair=pair,
         n=n,
-        sigma=_sorted_sigma(s1, s2),
-        diffs=tuple((s1 - s2).tolist()),
+        sigma=_l1(d),
+        diffs=diffs,
         pattern=tuple(pattern),
     )
 

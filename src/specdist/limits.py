@@ -6,12 +6,11 @@ never enters here.  Limits are estimated by first-order Richardson
 extrapolation on an approximately doubling grid.
 """
 
-import io
 import json
 import math
 from collections import namedtuple
 
-from .distance import MAX_CLOSED_ORDER, pair_min_order, pair_orders, sigma_closed
+from .distance import first_pair_order, pair_min_order, sigma_closed
 from .errors import InsufficientSamplesError, OrderTooSmallError, ResidueMismatchError
 
 # (8 - 8*sqrt(2) + 2*pi) / pi, the shared limit of the pz and wz sequences.
@@ -81,12 +80,13 @@ def default_grid(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> list[in
     For cz the grid is exact doubling over even orders.
     """
     residue = _scan_residue(pair, residue)
-    start = pair_orders(pair, 0, MAX_CLOSED_ORDER, residue)[0]  # whatever n_max
-    if start > n_max:
-        raise OrderTooSmallError(f"n_max {n_max} below the smallest valid order {start}")
-    grid = [start]
-    while orders := pair_orders(pair, 2 * grid[-1], n_max, residue):
-        grid.append(orders[0])
+    n = first_pair_order(pair, 0, residue)  # whatever n_max
+    if n > n_max:
+        raise OrderTooSmallError(f"n_max {n_max} below the smallest valid order {n}")
+    grid = []
+    while n <= n_max:
+        grid.append(n)
+        n = first_pair_order(pair, 2 * n, residue)
     return grid
 
 
@@ -103,20 +103,17 @@ class LimitEstimate(namedtuple("LimitEstimate",
     def to_csv(self) -> str:
         """Scan CSV: pair,residue,n,sigma,target,abs_error per sample row."""
         residue = "" if self.residue is None else str(self.residue)
-        buf = io.StringIO()
-        buf.write("pair,residue,n,sigma,target,abs_error\n")
-        for n, v in self.samples:
-            buf.write(
-                f"{self.pair},{residue},{n},{v:.17g},{self.target:.17g},"
-                f"{abs(v - self.target):.17g}\n"
-            )
-        return buf.getvalue()
+        head, target = f"{self.pair},{residue},", self.target
+        tail = f",{target:.17g},"
+        return "pair,residue,n,sigma,target,abs_error\n" + "".join([
+            f"{head}{n},{v:.17g}{tail}{abs(v - target):.17g}\n" for n, v in self.samples
+        ])
 
 
 def sequence_scan(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> LimitEstimate:
     """Evaluate the closed-form sigma along default_grid and extrapolate the
     limit.  residue is required for pz/wz/pw and refused for cz."""
-    samples = tuple((n, sigma_closed(pair, n)) for n in default_grid(pair, residue, n_max))
+    samples = tuple([(n, sigma_closed(pair, n)) for n in default_grid(pair, residue, n_max)])
     extrapolated = richardson_extrapolate(samples)
     target = target_constant(pair)
     return LimitEstimate(

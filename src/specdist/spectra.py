@@ -18,24 +18,32 @@ from .graphs import Family, FamilySpec
 def closed_spectrum(spec: FamilySpec):
     """Closed-form eigenvalues of the family member, descending, with
     multiplicities as repeated entries: angle_progressions written out as
-    2 cos(pi num / den).  An angle of exactly pi/2 gives an exact 0.0.
+    2 cos(pi num / den), the numerators turned into angles and cosines in
+    place.  An angle of exactly pi/2 gives an exact 0.0.
     """
     if not isinstance(spec, FamilySpec):
         raise TypeError("closed_spectrum expects a FamilySpec")
     import numpy as np
 
     pieces, den = angle_progressions(spec.family, spec.n)
-    # k, turned into a + b k piece by piece; np.empty raises MemoryError for
-    # an order too large to hold, where np.arange near MAX_ORDER rounds its
-    # stop up and raises a plain ValueError
-    nums = np.empty(spec.n)
-    nums[:] = np.arange(1.0, spec.n + 1)
+    # np.empty raises MemoryError for an order too large to hold, where
+    # np.arange near MAX_ORDER rounds its stop up and raises a plain ValueError
+    values = np.empty(spec.n)
+    zeros = []
     for first, last, step, a, b in pieces:
-        run = nums[first - 1 : last : step]
-        run *= b
-        run += a
-    values = 2.0 * np.cos(nums * math.pi / den)
-    values[2.0 * nums == den] = 0.0
+        values[first - 1 : last : step] = (
+            np.arange(a + b * first, a + b * last + 1, b * step) if b else a)
+        # the k where 2 (a + b k) = den, an angle of pi/2: each k of a constant piece
+        # (two at most), else the one k = (den - 2a) / 2b when it lies in the piece
+        ks = range(first, last + 1, step)
+        zeros += [k for k in (ks if b == 0 else ((den - 2 * a) // (2 * b),))
+                  if k in ks and 2 * (a + b * k) == den]
+    values *= math.pi
+    values /= den
+    np.cos(values, out=values)
+    values *= 2.0
+    for k in zeros:
+        values[k - 1] = 0.0
     return values
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -210,12 +211,25 @@ class TestDist:
         ("spectrum", "--family", "z", "--n", str(MAX_ORDER)),
         ("spectrum", "--family", "p", "--n", str(MAX_ORDER - 64)),
         ("dist", "--pair", "pz", "--n", str(MAX_ORDER), "--mode", "direct"),
+        ("verify", "--check", "additivity", "--n", f"{MAX_ORDER}..{MAX_ORDER}"),
+        ("verify", "--check", "additivity", "--n", f"{10**12}..{10**12}"),
+        ("dist", "--pair", "pz", "--n", str(MAX_ORDER), "--mode", "both", "--format", "json"),
     ])
     def test_largest_orders_out_of_memory_exit_2(self, capsys, argv):
-        # the spectrum's allocation fails at once, without touching memory
-        code, out, err = run(capsys, *argv)
+        # the first spectrum's allocation, of shape (n,), fails at once without
+        # touching memory; a soft address-space cap of 1 TiB makes 10**12
+        # doubles fail whatever the kernel's overcommit policy
+        n = int(argv[argv.index("--n") + 1].split("..")[0])
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 2**40 if soft == resource.RLIM_INFINITY else min(soft, 2**40)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
         assert code == 2 and out == ""
-        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert re.fullmatch(r"error: out of memory: Unable to allocate \d+\.\d\d [KMGTPE]iB for an "
+                            rf"array with shape \({n},\) and data type float64\n", err), err
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--family", "p", "--n", "1000000", "--source", "numeric"),

@@ -27,7 +27,6 @@ from specdist.distance import (
     MAX_CLOSED_ORDER,
     PAIRS,
     _residue_bounds,
-    _sin_diff,
     check_pair_order,
     pair_min_order,
     pair_orders,
@@ -88,6 +87,11 @@ class TestSigma:
 
 # dominant-first families (G, H) of sigma_closed's Lagrange prefix sums
 _PREFIX_FAMILIES = {"pz": ("z", "p"), "wz": ("w", "z")}
+
+
+def _sin_diff(x, y, x_minus_y):
+    """sin x - sin y, with x - y passed in so that nothing cancels."""
+    return 2.0 * math.cos(0.5 * (x + y)) * math.sin(0.5 * x_minus_y)
 
 
 def _sigma_from_progressions(pair, n):

@@ -15,7 +15,8 @@ from specdist import (
     target_constant,
 )
 from specdist.errors import InsufficientSamplesError, OrderTooSmallError, ResidueMismatchError
-from specdist.limits import _DOUBLING_WINDOW
+from specdist.distance import MAX_CLOSED_ORDER, pair_orders
+from specdist.limits import _DOUBLING_WINDOW, LimitEstimate, _scan_residue
 
 SCAN_CLASSES = [(p, r) for p in ("pz", "wz", "pw") for r in range(4)] + [("cz", None)]
 
@@ -151,6 +152,62 @@ def test_grids_end_in_a_doubling(cls, n_max):
         assert lo <= grid[k - 1] / grid[k - 2] <= hi, (cls, grid[:k])
     if len(grid) >= 3:
         assert richardson_extrapolate([(n, 0.0) for n in grid]) == 0.0
+
+
+def grid_by_rungs(pair, residue, n_max):
+    """default_grid's definition, rung by rung: the first order of pair_orders
+    from twice the last rung, until none is left below n_max."""
+    residue = _scan_residue(pair, residue)
+    start = pair_orders(pair, 0, MAX_CLOSED_ORDER, residue)[0]
+    if start > n_max:
+        raise OrderTooSmallError(f"n_max {n_max} below the smallest valid order {start}")
+    grid = [start]
+    while orders := pair_orders(pair, 2 * grid[-1], n_max, residue):
+        grid.append(orders[0])
+    return grid
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the error's type and message must match too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(["pz", "wz", "pw", "cz", "qq"]),
+       residue=st.sampled_from([None, 0, 1, 2, 3, 4, -1]),
+       n_max=st.one_of(st.integers(-5, 10**4), st.integers(1, 10**150)))
+def test_grid_is_the_rung_definition(pair, residue, n_max):
+    args = pair, residue, n_max
+    assert _outcome(default_grid, *args) == _outcome(grid_by_rungs, *args)
+
+
+@pytest.mark.parametrize("cls", SCAN_CLASSES)
+def test_grid_is_the_rung_definition_at_the_largest_n_max(cls):
+    assert default_grid(*cls, n_max=MAX_CLOSED_ORDER) == grid_by_rungs(*cls, MAX_CLOSED_ORDER)
+
+
+def csv_by_rows(est):
+    """LimitEstimate.to_csv's definition, one f-string per row."""
+    residue = "" if est.residue is None else str(est.residue)
+    text = "pair,residue,n,sigma,target,abs_error\n"
+    for n, v in est.samples:
+        text += f"{est.pair},{residue},{n},{v:.17g},{est.target:.17g},{abs(v - est.target):.17g}\n"
+    return text
+
+
+@pytest.mark.parametrize("cls", SCAN_CLASSES)
+@pytest.mark.parametrize("n_max", [100, 10**5, 10**150])
+def test_csv_is_the_row_definition(cls, n_max):
+    est = sequence_scan(*cls, n_max=n_max)
+    assert est.to_csv() == csv_by_rows(est)
+
+
+def test_csv_of_a_bare_estimate():
+    for est in (LimitEstimate("pz", 3, ((7, -0.0), (15, 1e-300), (31, math.inf)), 0.5, 1 / 3, 0.25),
+                LimitEstimate("cz", None, (), 0.0, 2.0, 0.0)):
+        assert est.to_csv() == csv_by_rows(est)
 
 
 class TestSequenceScan:

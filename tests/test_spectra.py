@@ -17,6 +17,7 @@ from specdist import (
 )
 from specdist.errors import LengthMismatchError, OrderTooSmallError
 from specdist.graphs import MIN_ORDER
+from specdist.spectra import angle_progressions
 
 SQRT3 = math.sqrt(3.0)
 
@@ -108,6 +109,39 @@ class TestWrittenOutAngles:
         indices = np.random.default_rng(12).choice(n, size=300, replace=False)
         for family in MIN_ORDER:
             assert worst_error(family, n, indices) <= self.ERR, family
+
+
+def formula_spectrum(family, n):
+    """angle_progressions written out as one formula: 2.0 * cos(nums * pi / den),
+    then 0.0 wherever 2 num = den."""
+    pieces, den = angle_progressions(family, n)
+    nums = np.empty(n)
+    for first, last, step, a, b in pieces:
+        nums[first - 1 : last : step] = a + b * np.arange(first, last + 1, step, dtype=float)
+    values = 2.0 * np.cos(nums * math.pi / den)
+    values[2.0 * nums == den] = 0.0
+    return values
+
+
+class TestBitwiseFormula:
+    """closed_spectrum works in place, yet gives the formula's very bytes."""
+
+    @staticmethod
+    def _assert_same_bytes(family, n):
+        values, expected = closed_spectrum(FamilySpec(family, n)), formula_spectrum(family, n)
+        assert values.dtype == expected.dtype and values.shape == expected.shape, (family, n)
+        assert values.tobytes() == expected.tobytes(), (family, n)
+
+    def test_every_order_to_3000(self):
+        for family, minimum in MIN_ORDER.items():
+            for n in range(minimum, 3001):
+                self._assert_same_bytes(family, n)
+
+    @pytest.mark.parametrize("n", [10**5, 10**5 + 1, 10**5 + 2, 10**5 + 3, 8192, 8193,
+                                   2 * 10**6 + 3])
+    def test_large_orders(self, n):
+        for family in MIN_ORDER:
+            self._assert_same_bytes(family, n)
 
 
 class TestNumericSpectrum:

@@ -20,15 +20,20 @@ verify checks run on Python ints and math alone and never load it (nor the
 Jacobi kernel, which only the numeric spectra load).
 
 main() builds the argument parser on its first call and reuses it for every
-later call in the process.  When argv[0] names a command, main() hands the
-rest of argv to that command's parser alone, so argv is read once; the
-top-level parser reads it only when argv is empty or argv[0] is not a
-command (--help, -h, an unknown command or an option before the command).
-Either way a rejected argument, unrecognized ones included, is reported by
-the parser that read it.  The parser holds no handler, tolerance or default
-of the program: each call looks up run_<command> in this module, the
-tolerances and limits.DEFAULT_N_MAX when it runs, so they can be patched
-between calls.
+later call in the process.  When argv[0] names a command, main() reads the
+rest of argv straight from that command's store actions if it is only
+"--option value" pairs, each option spelled in full and given once, each
+value non-empty, not starting with "-", of the option's type and among its
+choices, every required option present; options left out get their
+defaults.  That command's parser reads every other argv, so argparse still
+owns help, errors, abbreviations, the "--option=value" spelling and values
+starting with "-".  The top-level parser reads argv only when it is empty or
+argv[0] is not a command (--help, -h, an unknown command or an option before
+the command).  Either way a rejected argument, unrecognized ones included,
+is reported by the parser that read it.  The parser holds no handler,
+tolerance or default of the program: each call looks up run_<command> in
+this module, the tolerances and limits.DEFAULT_N_MAX when it runs, so they
+can be patched between calls.
 """
 
 import argparse
@@ -289,6 +294,39 @@ def build_parser():
     return parser
 
 
+def _read_pairs(command, name, argv):
+    """What command.parse_args(argv, Namespace(command=name)) returns, read
+    straight from the parser's store actions when argv is only "--option
+    value" pairs that it accepts; None for anything else, which argparse then
+    reads: help, "--option=value", an abbreviation, a repeated option, a
+    value that is empty or starts with "-", a bad type or choice, a missing
+    required option or a stray token."""
+    if len(argv) % 2:
+        return None
+    table, given = command._option_string_actions, {}
+    for option, text in zip(argv[::2], argv[1::2]):
+        action = table.get(option)
+        if (type(action) is not argparse._StoreAction or action.dest in given
+                or not text or text[0] == "-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    args = argparse.Namespace(command=name)
+    for action in command._actions:
+        if action.dest in given:
+            setattr(args, action.dest, given[action.dest])
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+    return args
+
+
 def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -296,7 +334,9 @@ def main(argv=None):
     if command is None:  # help, no command, or an unknown word or option first
         args = parser.parse_args(argv)
     else:
-        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args = _read_pairs(command, argv[0], argv[1:])
+        if args is None:
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         return globals()[f"run_{args.command}"](args)
     except (UsageError, OSError) as exc:

@@ -645,6 +645,48 @@ class TestParserReuse:
         assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
+class TestDirectRead:
+    """main() reads "--option value" lines without argparse."""
+
+    @staticmethod
+    def block_argparse(monkeypatch):
+        def parse_known_args(*args, **kwargs):
+            raise AssertionError("argparse read the command line")
+
+        for command in cli.build_parser().commands.values():
+            monkeypatch.setattr(command, "parse_known_args", parse_known_args)
+
+    # the README's examples that need no input file and no numpy, then one
+    # line of each operation the benchmark runs
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--check", "interlacing", "--pair", "pz", "--n", "4..500"),
+        ("verify", "--check", "bipartite-symmetry", "--n", "4..2000"),
+        ("scan", "--pair", "pz", "--residue", "1", "--n-max", "100000", "--out", "{tmp}/scan.csv"),
+        ("scan", "--pair", "pz", "--residue", "1"),
+        ("dist", "--pair", "wz", "--n", "100", "--mode", "closed"),
+        ("spectrum", "--family", "z", "--n", "16", "--source", "both", "--format", "json"),
+        ("spectrum", "--graph-file", "{tmp}/p3.txt", "--format", "json"),
+        ("dist", "--pair", "pz", "--n", "100", "--mode", "both", "--format", "json"),
+        ("dist", "--pair", "cz", "--n", "100", "--mode", "both", "--format", "text"),
+        ("verify", "--check", "interlacing", "--pair", "wz", "--n", "6..13"),
+        ("verify", "--check", "additivity", "--n", "6..13"),
+        ("scan", "--pair", "pw", "--residue", "2", "--n-max", "70000", "--format", "csv",
+         "--out", "{tmp}/pw.csv"),
+        ("scan", "--pair", "cz", "--n-max", "70000", "--format", "json"),
+    ], ids=" ".join)
+    def test_common_lines_skip_argparse(self, capsys, monkeypatch, tmp_path, argv):
+        (tmp_path / "p3.txt").write_text("n 3\n0 1\n1 2\n")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        expected = run(capsys, *argv)
+        self.block_argparse(monkeypatch)
+        assert run(capsys, *argv) == expected
+
+    def test_argparse_reads_the_rest(self, monkeypatch):
+        self.block_argparse(monkeypatch)
+        with pytest.raises(AssertionError, match="argparse read"):
+            main(["scan", "--pair=cz"])
+
+
 class TestWithoutNumpy:
     """Importing the package loads no numpy, and the closed-form commands run
     where every import of numpy raises, printing what a normal run prints."""

@@ -1,10 +1,12 @@
 """Property tests over the command-line grammar, on argv drawn from the
 parser's own subcommands, options and choices, plus hostile values and stray
 tokens: every command line ends in a documented exit code with its documented
-output, never in a traceback, and main(), which hands argv to the named
+output, never in a traceback, and main(), which reads "--option value" pairs
+from the named command's actions and hands the rest of argv to that
 command's parser alone, reads it as the full parser does."""
 
 import argparse
+import collections
 import contextlib
 import io
 import os
@@ -91,9 +93,12 @@ def command_lines(draw, tmp):
         if a.dest in ("out", "graph_file"):
             values[a.dest] = os.path.join(tmp, values[a.dest])
     argv = [command]
+    # one spelling per line, half of them all "--opt value", which main()
+    # reads without argparse; per option, such lines would be rare
+    spelling = draw(st.sampled_from(["space", "space", "equals", "mixed"]))
     for a in draw(st.permutations(actions)):
         # "--n -10..-2" reads its value as an option; "--n=-10..-2" does not
-        if draw(st.booleans()):
+        if spelling == "space" or spelling == "mixed" and draw(st.booleans()):
             argv += [a.option_strings[0], values[a.dest]]
         else:
             argv.append(f"{a.option_strings[0]}={values[a.dest]}")
@@ -179,4 +184,54 @@ def test_main_reads_argv_as_the_full_parser_does(tmp_path):
 def test_help_and_no_command_first_match_the_full_parser(argv):
     """Help, and argv whose first word is no command, which main() hands to
     the top-level parser, print what the full parser prints, byte for byte."""
+    assert _outcome(_main_parse, argv) == _outcome(_full_parse, argv)
+
+
+def _command_parse(argv):
+    """What the named command's own parser returns for the rest of argv."""
+    return vars(build_parser().commands[argv[0]].parse_args(
+        argv[1:], argparse.Namespace(command=argv[0])))
+
+
+def _read(argv):
+    return cli._read_pairs(build_parser().commands[argv[0]], argv[0], argv[1:])
+
+
+def test_the_reader_returns_what_the_command_parser_returns(tmp_path):
+    """The reader declines a line or returns what argparse returns for it, and
+    it reads at least a quarter of the drawn lines itself."""
+    read_by = collections.Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=command_lines(str(tmp_path)))
+    def check(argv):
+        args = _read(argv)
+        read_by["reader" if args is not None else "argparse"] += 1
+        if args is not None:
+            assert _outcome(_command_parse, argv) == (vars(args), "", ""), argv
+
+    check()
+    assert read_by["reader"] * 4 >= read_by.total(), read_by
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--pair", "pz", "--n", "-5"],
+    ["verify", "--check", "additivity", "--n=-3..0"],
+    ["scan", "--pa", "pz", "--res", "1"],
+    ["scan", "--pair", "pz", "--residue", "2", "--residue", "1"],
+    ["spectrum", "--family", "p", "--n", "4", "--out", ""],
+    ["dist", "--pair", "pz", "--n", "1e3"],
+    ["dist", "--pair", "pz", "--n", "4", "--format", "JSON"],
+    ["scan", "--pair", "pz", "-h"],
+    ["scan", "--help", "me", "--pair", "pz"],
+    ["scan", "--pair"],
+    ["dist", "--out", "--n", "5"],
+    ["verify", "--n", "4..6"],
+], ids=" ".join)
+def test_the_reader_declines_what_argparse_reads(argv):
+    """Negative and empty values, the equals spelling, abbreviations, repeats,
+    bad types and choices, help, a missing value and a missing required
+    option all fall through to argparse, which reads them as the full parser
+    does."""
+    assert _read(argv) is None
     assert _outcome(_main_parse, argv) == _outcome(_full_parse, argv)

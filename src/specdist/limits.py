@@ -2,8 +2,8 @@
 
 Every scan point is a closed-form sigma evaluated in O(1) (Lagrange prefix
 sums), so a scan costs O(samples) whatever its n_max; the dense eigensolver
-never enters here.  Limits are estimated by first-order Richardson
-extrapolation on an approximately doubling grid.
+never enters here.  Limits are estimated by a first-order Richardson step
+on the last two samples at their own orders.
 """
 
 import json
@@ -19,11 +19,6 @@ L_STAR = (8.0 - 8.0 * math.sqrt(2.0) + 2.0 * math.pi) / math.pi
 _TARGETS = {"pz": L_STAR, "wz": L_STAR, "pw": 2.0 * L_STAR, "cz": 2.0}
 
 DEFAULT_N_MAX = 100_000
-
-# Extrapolation needs the last two samples to be an n-doubling step: their
-# ratio within this window of 2 (residue-preserving grids only double
-# approximately).
-_DOUBLING_WINDOW = (1.7, 2.3)
 
 
 def target_constant(pair: str) -> float:
@@ -43,11 +38,11 @@ def alternating_sum(n: int) -> float:
 
 
 def richardson_extrapolate(samples) -> float:
-    """First-order Richardson step on the last doubling pair.
+    """First-order Richardson step on the last two samples.
 
-    Assumes error ~ c/n: from (n, v_n) and (2n, v_2n) the extrapolant is
-    2*v_2n - v_n.  Raises ValueError when the final spacing is not
-    approximately 2x, where this step does not extrapolate.
+    Assumes error ~ c/n: the line through (1/n1, v1) and (1/n2, v2) meets
+    1/n = 0 at (n2*v2 - n1*v1) / (n2 - n1), whatever the ratio n2/n1.  When
+    n1 is a power of two and n2 = 2*n1, that is 2*v2 - v1 to the bit.
     """
     samples = list(samples)
     if len(samples) < 3:
@@ -56,10 +51,7 @@ def richardson_extrapolate(samples) -> float:
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("sample orders must be strictly increasing")
     (n1, v1), (n2, v2) = samples[-2], samples[-1]
-    lo, hi = _DOUBLING_WINDOW
-    if not lo <= n2 / n1 <= hi:
-        raise ValueError(f"last step {n1} -> {n2} is not a doubling ({lo}..{hi} times)")
-    return 2.0 * v2 - v1
+    return (n2 * v2 - n1 * v1) / (n2 - n1)
 
 
 def _scan_residue(pair: str, residue):
@@ -74,8 +66,8 @@ def _scan_residue(pair: str, residue):
 
 
 def default_grid(pair: str, residue=None, n_max: int = DEFAULT_N_MAX) -> list[int]:
-    """Approximately doubling grid staying inside the residue class: each
-    order is the smallest valid one at least twice the previous.
+    """Grid staying inside the residue class: each order is the smallest
+    valid one at least twice the previous.
 
     For cz the grid is exact doubling over even orders.
     """

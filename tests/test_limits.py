@@ -14,9 +14,10 @@ from specdist import (
     sigma_closed,
     target_constant,
 )
+from specdist.cli import SCAN_TOL
 from specdist.errors import InsufficientSamplesError, OrderTooSmallError, ResidueMismatchError
 from specdist.distance import MAX_CLOSED_ORDER, pair_orders
-from specdist.limits import _DOUBLING_WINDOW, LimitEstimate, _scan_residue
+from specdist.limits import LimitEstimate, _scan_residue
 
 SCAN_CLASSES = [(p, r) for p in ("pz", "wz", "pw") for r in range(4)] + [("cz", None)]
 
@@ -80,10 +81,25 @@ class TestRichardson:
     def test_constant_sequence(self):
         assert richardson_extrapolate([(10, 7.0), (20, 7.0), (40, 7.0)]) == 7.0
 
-    def test_non_doubling_rejected(self):
-        samples = [(10, 1.0), (20, 1.5), (100, 1.9)]
-        with pytest.raises(ValueError, match="not a doubling"):
-            richardson_extrapolate(samples)
+    def test_non_doubling_orders_extrapolate_to_the_limit(self):
+        # 2*v2 - v1 would be off by 3/(8005*16013) = 2.3e-8 here
+        limit = 0.25
+        samples = [(n, limit + 1.0 / n) for n in (4001, 8005, 16013)]
+        assert abs(richardson_extrapolate(samples) - limit) <= math.ulp(limit)
+
+    @settings(max_examples=500, deadline=None)
+    @given(limit=st.floats(1.0, 2.0, exclude_max=True), c=st.floats(-1.0, 1.0),
+           n1=st.integers(16, 10**12), ratio=st.floats(1.5, 3.0))
+    def test_first_order_sequences_extrapolate_to_the_ulp(self, limit, c, n1, ratio):
+        # v = L + c/n is exactly first order, so only rounding is left.  With
+        # u = 2**-53, each v is off by at most u*(|c|/n + |v|); n*v, the
+        # difference and the quotient round once each.  For |c| <= 1,
+        # n1 >= 16 and n2/n1 >= 1.5 (so (n2 + n1)/(n2 - n1) <= 5) that adds
+        # up to u*(12L + 0.875) < 12.5 ulp of L in [1, 2), and the O(u**2)
+        # terms do not reach 13.
+        n2 = math.ceil(ratio * n1)
+        samples = [(n1 - 1, 0.0), (n1, limit + c / n1), (n2, limit + c / n2)]
+        assert abs(richardson_extrapolate(samples) - limit) <= 13 * math.ulp(limit)
 
     def test_residue_grid_lands_near_l_star(self):
         samples = [(n, sigma_closed("pz", n)) for n in (4001, 8001, 16001)]
@@ -135,11 +151,9 @@ class TestGrid:
 @settings(max_examples=200, deadline=None)
 @given(cls=st.sampled_from(SCAN_CLASSES),
        n_max=st.one_of(st.integers(1, 10**4), st.integers(1, 10**150)))
-def test_grids_end_in_a_doubling(cls, n_max):
-    # richardson_extrapolate's plain ValueError for a last step outside the
-    # window is no UsageError; a scan cannot meet it, since every grid of 3 or
-    # more orders ends in a step inside the window.  A smaller n_max cuts the
-    # same grid shorter, so every step after the first is some grid's last.
+def test_grids_cut_short_are_prefixes_and_extrapolate(cls, n_max):
+    # A smaller n_max cuts the same grid shorter, and every grid of 3 or more
+    # orders extrapolates without raising.
     try:
         grid = default_grid(*cls, n_max=n_max)
     except OrderTooSmallError:
@@ -147,11 +161,33 @@ def test_grids_end_in_a_doubling(cls, n_max):
     assert grid[-1] <= n_max
     if len(grid) > 1:
         assert default_grid(*cls, n_max=grid[-1] - 1) == grid[:-1]
-    lo, hi = _DOUBLING_WINDOW
-    for k in range(3, len(grid) + 1):
-        assert lo <= grid[k - 1] / grid[k - 2] <= hi, (cls, grid[:k])
     if len(grid) >= 3:
         assert richardson_extrapolate([(n, 0.0) for n in grid]) == 0.0
+
+
+@pytest.mark.parametrize("cls", SCAN_CLASSES)
+def test_every_prefix_against_the_doubling_rule(cls):
+    # 2*v2 - v1, the rule for n2 = 2*n1 exactly, as the reference on every
+    # prefix of the class's grid to 10**150: the step at the true orders gives
+    # its bits on power-of-two grids, is no worse below n 2e6, at most 2 ulp
+    # of the target worse beyond, and stays within SCAN_TOL where it did.
+    pair, residue = cls
+    samples = [(n, sigma_closed(pair, n)) for n in default_grid(pair, residue, 10**150)]
+    target, tol = target_constant(pair), SCAN_TOL[pair]
+    power_of_two = all(n & (n - 1) == 0 for n, _ in samples)
+    assert power_of_two == (residue in (0, None))
+    for k in range(3, len(samples) + 1):
+        (_, v1), (n2, v2) = samples[k - 2], samples[k - 1]
+        reference = 2.0 * v2 - v1
+        got = richardson_extrapolate(samples[:k])
+        if power_of_two:
+            assert got.hex() == reference.hex(), n2
+        error, reference_error = abs(got - target), abs(reference - target)
+        if n2 < 2 * 10**6:
+            assert error <= reference_error, n2
+        else:
+            assert error <= reference_error + 2 * math.ulp(target), n2
+        assert error <= tol or reference_error > tol, n2
 
 
 def grid_by_rungs(pair, residue, n_max):

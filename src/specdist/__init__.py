@@ -1,7 +1,7 @@
 """Spectral distances between paths, cycles and the snake trees Z_n, W_n.
 
 Importing the package loads only what the closed forms use from the standard
-library (math, json, enum, collections and pathlib; specdist.cli adds
+library (math, json, enum, collections and os; specdist.cli adds
 argparse), so the closed forms, the exact sign patterns and the limit scans
 run on Python ints and math alone.  The records are namedtuples: dataclasses
 would bring inspect, ast and dis.  numpy is imported inside each function

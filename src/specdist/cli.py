@@ -8,7 +8,9 @@ budget.  Every exit 2 is one "error: ..." line that main() alone prints:
 handlers raise UsageError, the modules' order, residue and sample errors are
 UsageErrors too, the kernel build's OSError passes through unchanged, and
 numpy's ModuleNotFoundError is named as such; any other ImportError is raised.
-SPECTRA_TOL overrides the scan acceptance tolerance.  spectrum's --source
+SPECTRA_TOL overrides the scan acceptance tolerance.  scan prints its JSON
+summary on stdout after writing --out, and on stderr when its CSV goes to
+stdout, so that stdout holds the CSV alone.  spectrum's --source
 defaults to closed for --family and numeric for --graph-file.  One loop serves
 verify's four checks: interlacing and bipartite-symmetry are decided exactly;
 additivity and oracle compare float residuals with CONSISTENCY_TOL and
@@ -242,8 +244,10 @@ def run_scan(args):
         _emit(estimate.to_json() + "\n", args.out)
     else:
         _emit(estimate.to_csv(), args.out)
-    if args.out or args.format != "json":
+    if args.out:
         print(estimate.to_json())
+    elif args.format != "json":  # stdout holds the CSV alone
+        print(estimate.to_json(), file=sys.stderr)
     if estimate.abs_error > tol:
         print(
             f"FAIL scan {args.pair}: abs_error {estimate.abs_error:.3g} > tolerance {tol:g}"

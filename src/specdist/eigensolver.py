@@ -22,7 +22,6 @@ import contextlib
 import functools
 import importlib
 import os
-from pathlib import Path
 
 from .errors import ConvergenceError, NonSymmetricMatrixError
 
@@ -30,7 +29,8 @@ SWEEP_BUDGET = 100
 TOL_PER_DIM = 1e-12
 ACTIVE_BACKEND = "compiled"
 
-_SOURCE = Path(__file__).with_name("_jacobi.c")
+# os.path, not pathlib, which importing the package would load
+_SOURCE = os.path.join(os.path.dirname(__file__), "_jacobi.c")
 
 
 def _compile(target):
@@ -42,10 +42,10 @@ def _compile(target):
 
     var = sysconfig.get_config_var
     flags = f"{os.environ.get('CC') or var('CC')} {var('CFLAGS')} {var('CCSHARED')}"
-    tmp = target.with_name(f"_jacobi-{os.getpid()}.tmp")
+    tmp = os.path.join(os.path.dirname(target), f"_jacobi-{os.getpid()}.tmp")
     try:
-        command = [*shlex.split(flags), "-I", var("INCLUDEPY"), "-shared", str(_SOURCE),
-                   "-o", str(tmp), "-lm"]
+        command = [*shlex.split(flags), "-I", var("INCLUDEPY"), "-shared", _SOURCE,
+                   "-o", tmp, "-lm"]
         proc = subprocess.run(command, capture_output=True, text=True)
         if proc.returncode != 0:
             said = (proc.stderr or proc.stdout).strip().splitlines()
@@ -54,7 +54,7 @@ def _compile(target):
         os.replace(tmp, target)
     except (OSError, ValueError) as exc:  # shlex.split raises ValueError
         raise OSError(
-            f"cannot build the Jacobi kernel {target.name}: {exc}; numeric "
+            f"cannot build the Jacobi kernel {os.path.basename(target)}: {exc}; numeric "
             "spectra need a C compiler, or a package built by pip install -e ."
         ) from exc
     finally:
@@ -67,9 +67,10 @@ def _kernel():
     """The compiled jacobi_sweeps, built first when the source is newer."""
     import sysconfig
 
-    if _SOURCE.exists():
-        target = _SOURCE.with_name("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
-        if not target.exists() or target.stat().st_mtime < _SOURCE.stat().st_mtime:
+    if os.path.exists(_SOURCE):
+        target = os.path.join(os.path.dirname(_SOURCE),
+                              "_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
+        if not os.path.exists(target) or os.path.getmtime(target) < os.path.getmtime(_SOURCE):
             _compile(target)
             importlib.invalidate_caches()
     from ._jacobi import jacobi_sweeps
@@ -95,11 +96,11 @@ def symmetric_eigenvalues(m):
     a = np.array(m, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricMatrixError(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise NonSymmetricMatrixError("matrix is not symmetric")
 
     tol = TOL_PER_DIM * a.shape[0]
     converged, used = jacobi_sweeps(a, SWEEP_BUDGET, tol)
     if not converged:
         raise ConvergenceError(f"off-diagonal norm still above {tol:g} after {used} sweeps")
-    return np.diagonal(a).copy()
+    return a.diagonal().copy()

@@ -3,8 +3,8 @@
 angle_progressions states each family's spectrum once, as exact angles
 pi num/den; closed_spectrum writes them out as cosines.  The closed forms and
 the Jacobi eigensolver act as mutual oracles; spectrum_deviation measures
-their sup-norm disagreement.  Every function but angle_progressions imports
-numpy when called.
+their sup-norm disagreement.  Every function but angle_progressions needs
+numpy, imported when called.
 """
 
 import io
@@ -74,10 +74,9 @@ def angle_progressions(family, n: int):
 
 def numeric_spectrum(m):
     """Eigenvalues of a symmetric matrix via Jacobi sweeps, sorted descending."""
-    import numpy as np
-
-    values = symmetric_eigenvalues(m)
-    return np.sort(values)[::-1].copy()
+    values = symmetric_eigenvalues(m)  # a fresh array, sorted in place
+    values.sort()
+    return values[::-1].copy()
 
 
 def spectrum_deviation(a, b) -> float:
@@ -90,7 +89,7 @@ def spectrum_deviation(a, b) -> float:
         raise LengthMismatchError(f"spectra have lengths {a.size} and {b.size}")
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - b)))
+    return float(abs(a - b).max())
 
 
 def spectrum_to_csv(values) -> str:

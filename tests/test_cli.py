@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -35,10 +37,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(code, *argv):
-    """python -c code with argv, in a fresh interpreter on this source tree."""
+def run_fresh(code, *argv, flags=()):
+    """python [flags] -c code with argv, in a fresh interpreter on this source tree."""
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120,
+        [sys.executable, *flags, "-c", code, *argv], capture_output=True, text=True,
+        timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
     )
 
@@ -468,6 +471,15 @@ class TestScan:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "pair,residue,n,sigma,target,abs_error"
 
+    def test_csv_on_stdout_is_the_csv_alone(self, capsys):
+        # the JSON summary goes to stderr, so stdout parses as header plus samples
+        code, out, err = run(capsys, "scan", "--pair", "cz", "--n-max", "100000")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        summary = json.loads(err)
+        assert rows[0] == ["pair", "residue", "n", "sigma", "target", "abs_error"]
+        assert [[int(n), float(v)] for _, _, n, v, _, _ in rows[1:]] == summary["samples"]
+
     def test_pz_residue_scan(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--pair", "pz", "--residue", "1", "--n-max", "100000",
@@ -700,10 +712,11 @@ class TestWithoutNumpy:
 
     def test_import_loads_none_of_the_heavy_modules(self):
         # dataclasses would bring inspect, ast and dis; sysconfig only the
-        # kernel build needs
-        heavy = ["numpy", "dataclasses", "inspect", "sysconfig"]
+        # kernel build needs; pathlib brings urllib.parse and fnmatch.  -S skips
+        # site, whose .pth files may import pathlib before specdist does
+        heavy = ["numpy", "dataclasses", "inspect", "sysconfig", "pathlib"]
         proc = run_fresh("import sys, specdist, specdist.cli\n"
-                         f"print(sorted(set({heavy}) & set(sys.modules)))")
+                         f"print(sorted(set({heavy}) & set(sys.modules)))", flags=["-S"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     @pytest.mark.parametrize("argv", [

@@ -3,6 +3,8 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdist import (
     Family,
@@ -369,3 +371,124 @@ class TestEdgeList:
     def test_header_with_extra_field_malformed(self):
         with pytest.raises(ValueError, match=r"^line 1: expected \"n <count>\", got 'n 3 4'$"):
             from_edge_list_text("n 3 4\n0 1\n")
+
+
+def graph_model(n, edges):
+    """Graph's check as a per-edge loop, the reference for its one-pass form:
+    (n, edges as a frozenset built as Graph builds it)."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    normalized = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        normalized.add((min(u, v), max(u, v)))
+    return n, frozenset(normalized)
+
+
+def parse_model(text):
+    """from_edge_list_text as a per-line parser, the reference for its
+    one-pass form."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].split()[0] != "n":
+        raise ValueError('edge list must start with a header line "n <count>"')
+    no, header = lines[0]
+    try:
+        _, count = header.split()
+        n = int(count)
+    except ValueError:
+        raise ValueError(f'line {no}: expected "n <count>", got {header!r}') from None
+    edges = []
+    for no, ln in lines[1:]:
+        try:
+            u, v = (int(tok) for tok in ln.split())
+        except ValueError:
+            raise ValueError(f'line {no}: expected "i j", got {ln!r}') from None
+        edges.append((u, v))
+    return graph_model(n, edges)
+
+
+def outcome(call, *args):
+    """(n, edges in iteration order) of what call returns, or (type, message)
+    of what it raises."""
+    try:
+        n, edges = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return n, list(edges)
+
+
+@st.composite
+def edge_lists(draw, n):
+    """Edges in range, a few bad ones among them (self-loops, out-of-range and
+    negative vertices), then duplicates and reversed copies at drawn places."""
+    inner = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(inner, inner).filter(lambda e: e[0] != e[1]),
+                          max_size=10 if n > 1 else 0))
+    hostile = st.integers(-3, n + 3)
+    for edge in draw(st.lists(st.tuples(hostile, hostile) | hostile.map(lambda u: (u, u)),
+                              max_size=3)):
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    for _ in range(draw(st.integers(0, 3)) if edges else 0):
+        u, v = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from([(u, v), (v, u)])))
+    return edges
+
+
+@st.composite
+def graphs_drawn(draw):
+    n = draw(st.integers(-1, 12))
+    return n, draw(edge_lists(max(n, 1)))
+
+
+SPACE = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000"])
+TOKEN = st.integers(-3, 15).map(str) | st.sampled_from(["x", "1.5", "n", "+2", "0_1", "\u0663"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts: a header, good or not, then edge lines with blank,
+    short, long and non-integer ones among them, joined by any line break."""
+    n = draw(st.integers(-1, 12))
+    good = [f"n {n}", f"n\t{n}", f" n  {n} "]
+    lines = [draw(st.sampled_from(good * 4 + ["n", f"n {n} 1", "n x", f"{n} n", ""]))]
+    for u, v in draw(edge_lists(max(n, 1))):
+        kind = draw(st.sampled_from(["edge"] * 12 + ["blank"] * 2 + ["short", "long", "token"]))
+        fields = {"edge": [u, v], "blank": [], "short": [u], "long": [u, v, draw(TOKEN)],
+                  "token": [u, draw(TOKEN)]}[kind]
+        lines.append(draw(SPACE | st.just("")) + draw(SPACE).join(map(str, fields))
+                     + draw(SPACE | st.just("")))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestAgainstTheModels:
+    """Graph and from_edge_list_text return what the per-edge and per-line
+    models return, the edges in the same iteration order, or raise the same
+    exception with the same message."""
+
+    def test_graph_in_one_pass(self):
+        @settings(max_examples=200, deadline=None)
+        @given(drawn=graphs_drawn(), container=st.sampled_from([list, tuple, iter]))
+        def check(drawn, container):
+            n, edges = drawn
+            assert outcome(Graph, n, container(edges)) == outcome(graph_model, n, container(edges))
+
+        check()
+
+    def test_edge_list_in_one_pass(self):
+        @settings(max_examples=200, deadline=None)
+        @given(text=edge_list_texts())
+        def check(text):
+            assert outcome(from_edge_list_text, text) == outcome(parse_model, text)
+
+        check()
+
+    def test_of_several_bad_lines_the_first_is_named(self):
+        # malformed lines raise before any bad edge, which the graph checks
+        lines = ["x y", "1", *(f"{u} {v}" for u, v in BAD_EDGES[:2])]
+        for order in itertools.permutations(lines):
+            text = "\n".join(["n 4", "0 1", *order])
+            assert outcome(from_edge_list_text, text) == outcome(parse_model, text)

@@ -10,6 +10,10 @@
    the lower one before jacobi_sweeps returns.  For an exactly symmetric
    input this gives bit for bit the matrix that rotating the full storage
    gives, since each element gets the same update from the same operands.
+
+   A sweep visits the pairs in round-robin rounds of disjoint pairs
+   (sweep()), so no pivot of a round waits on a rotation of that round.
+   The rounds' scratch arrays are allocated at each call, so n has no cap.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -49,58 +53,79 @@ pivot(double *a, Py_ssize_t n, Py_ssize_t p, Py_ssize_t q, double *c, double *s)
     a[p * n + q] = 0.0;
 }
 
-/* One cyclic sweep: rotate away every a[p][q], p < q, above skip, in row
-   order.  Only the upper triangle is read and written: element (i, p) of
-   the symmetric matrix lives at a[i][p] for i < p and at a[p][i] for i > p,
-   and likewise for q, so the rotation of row and column i runs in three
-   loops: i < p, p < i < q and q < i.  The third runs first, and stops at the
-   row's next pair (p, next) to rotate: a[p][next] is then final, and the
-   next pivot is taken before the rest of this rotation, so that its
-   divisions and square roots overlap that rest.  Every element still gets
-   the same updates, with the same operands, in the same order. */
-static void
-sweep(double *a, Py_ssize_t n, double skip)
+/* Apply the rotation (c, s) of pair (p, q), p < q, whose pivot() has run:
+   rotate rows and columns p and q of the rest of the matrix.  Element
+   (i, p) of the symmetric matrix lives at a[i][p] for i < p and at a[p][i]
+   for i > p, and likewise for q, so the rotation runs in three loops over
+   the upper triangle: i < p, p < i < q and q < i. */
+static inline void
+rotate(double *a, Py_ssize_t n, Py_ssize_t p, Py_ssize_t q, double c, double s)
 {
-    for (Py_ssize_t p = 0; p < n - 1; p++) {
-        double *ap = a + p * n;
-        Py_ssize_t q = p + 1;
-        while (q < n && fabs(ap[q]) <= skip)
-            q++;
-        double c, s;
-        if (q < n)
-            pivot(a, n, p, q, &c, &s);
-        while (q < n) {
-            double *aq = a + q * n;
-            Py_ssize_t next = q + 1;
-            for (; next < n; next++) {
-                double aip = ap[next], aiq = aq[next];
-                ap[next] = c * aip - s * aiq;
-                aq[next] = s * aip + c * aiq;
-                if (!(fabs(ap[next]) <= skip))  /* (p, next) is rotated */
-                    break;
+    double *ap = a + p * n, *aq = a + q * n;
+    for (double *ai = a; ai < ap; ai += n) {
+        double aip = ai[p], aiq = ai[q];
+        ai[p] = c * aip - s * aiq;
+        ai[q] = s * aip + c * aiq;
+    }
+    for (Py_ssize_t i = p + 1; i < q; i++) {
+        double aip = ap[i], aiq = a[i * n + q];
+        ap[i] = c * aip - s * aiq;
+        a[i * n + q] = s * aip + c * aiq;
+    }
+    for (Py_ssize_t i = q + 1; i < n; i++) {
+        double aip = ap[i], aiq = aq[i];
+        ap[i] = c * aip - s * aiq;
+        aq[i] = s * aip + c * aiq;
+    }
+}
+
+/* Scratch space of the sweeps for m = n + n % 2 indices: the ring of m
+   labels, and the pairs of one round with their cosines and sines. */
+typedef struct {
+    Py_ssize_t *ring, *p, *q;
+    double *c, *s;
+} scratch;
+
+/* One cyclic sweep in the round-robin order of Brent & Luk (SIAM J. Sci.
+   Stat. Comput. 6 (1985) 69-84): m - 1 rounds of m/2 disjoint pairs
+   (ring[j], ring[m - 1 - j]).  ring[0] stays put and ring[1..m-1] turns one
+   place per round, so every pair p < q meets once per sweep; for odd n the
+   label n is an idle "bye", and its pair is not rotated.  The ring starts
+   as 0, 1, ..., m - 1, so round 0 pairs 0 with m - 1, 1 with m - 2, and so
+   on, and it is back there after each sweep.
+
+   A pivot reads a[p][p], a[q][q] and a[p][q] alone, which no other pair of
+   its round writes, so every pair above skip is pivoted first, and those
+   divisions and square roots do not wait on each other or on a rotation.
+   The rotations then run in pair order, so every element gets the same
+   updates, with the same operands, in the same order, as when each pair's
+   pivot and rotation run one after the other. */
+static void
+sweep(double *a, Py_ssize_t n, double skip, const scratch *w)
+{
+    Py_ssize_t m = n + n % 2, h = m / 2;
+    Py_ssize_t *ring = w->ring;
+    for (Py_ssize_t r = 0; r < m - 1; r++) {
+        Py_ssize_t k = 0;
+        for (Py_ssize_t j = 0; j < h; j++) {
+            Py_ssize_t p = ring[j], q = ring[m - 1 - j];
+            if (p > q) {
+                Py_ssize_t t = p;
+                p = q;
+                q = t;
             }
-            double c_next = 0.0, s_next = 0.0;
-            if (next < n)
-                pivot(a, n, p, next, &c_next, &s_next);
-            for (Py_ssize_t i = next + 1; i < n; i++) {
-                double aip = ap[i], aiq = aq[i];
-                ap[i] = c * aip - s * aiq;
-                aq[i] = s * aip + c * aiq;
-            }
-            for (double *ai = a; ai < ap; ai += n) {
-                double aip = ai[p], aiq = ai[q];
-                ai[p] = c * aip - s * aiq;
-                ai[q] = s * aip + c * aiq;
-            }
-            for (Py_ssize_t i = p + 1; i < q; i++) {
-                double aip = ap[i], aiq = a[i * n + q];
-                ap[i] = c * aip - s * aiq;
-                a[i * n + q] = s * aip + c * aiq;
-            }
-            q = next;
-            c = c_next;
-            s = s_next;
+            if (q == n || fabs(a[p * n + q]) <= skip)  /* the bye, or skipped */
+                continue;
+            pivot(a, n, p, q, &w->c[k], &w->s[k]);
+            w->p[k] = p;
+            w->q[k] = q;
+            k++;
         }
+        for (Py_ssize_t j = 0; j < k; j++)
+            rotate(a, n, w->p[j], w->q[j], w->c[j], w->s[j]);
+        Py_ssize_t last = ring[m - 1];
+        memmove(ring + 2, ring + 1, (size_t)(m - 2) * sizeof *ring);
+        ring[1] = last;
     }
 }
 
@@ -141,11 +166,28 @@ jacobi_sweeps(PyObject *Py_UNUSED(self), PyObject *args)
     int converged = 1;
     Py_ssize_t used = 0;
     if (n > 1) {  /* n = 0 and n = 1 are diagonal already */
+        Py_ssize_t m = n + n % 2, h = m / 2;
+        scratch w;
+        w.ring = PyMem_Malloc((size_t)(2 * m) * sizeof(Py_ssize_t));  /* ring, p, q */
+        w.c = PyMem_Malloc((size_t)m * sizeof(double));  /* c, s */
+        if (w.ring == NULL || w.c == NULL) {
+            PyMem_Free(w.ring);
+            PyMem_Free(w.c);
+            PyBuffer_Release(&view);
+            return PyErr_NoMemory();
+        }
+        w.p = w.ring + m;
+        w.q = w.p + h;
+        w.s = w.c + h;
+        for (Py_ssize_t j = 0; j < m; j++)
+            w.ring[j] = j;
         for (; used < max_sweeps; used++) {
             if (off_norm(a, n) < tol)
                 break;
-            sweep(a, n, skip);
+            sweep(a, n, skip, &w);
         }
+        PyMem_Free(w.ring);
+        PyMem_Free(w.c);
         if (used >= max_sweeps) {  /* budget spent, or none given */
             converged = off_norm(a, n) < tol;
             used = max_sweeps;

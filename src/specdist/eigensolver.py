@@ -14,8 +14,11 @@ at the first numeric call too; shlex and subprocess only when a build runs.
 
 ``jacobi_sweeps`` is read by symmetric_eigenvalues at each call; the kernel
 rotates in place and leaves the eigenvalues on the diagonal, in the input's
-index order, unsorted.  Convergence: off-diagonal Frobenius norm below
-1e-12 * n, within a budget of SWEEP_BUDGET (100) sweeps, read at call time.
+index order, unsorted.  Each sweep visits the pairs in round-robin order
+(Brent & Luk, 1985): n + n % 2 - 1 rounds of disjoint pairs, each round's
+pivots taken before its rotations.  Convergence: off-diagonal Frobenius
+norm below 1e-12 * n, within a budget of SWEEP_BUDGET (100) sweeps, read at
+call time.
 """
 
 import contextlib

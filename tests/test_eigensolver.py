@@ -143,10 +143,38 @@ def test_pure_sweeps_keep_matrix_exactly_symmetric():
             assert np.array_equal(a, a.T), (m.shape[0], max_sweeps)
 
 
+def _round_robin(n):
+    """The kernel's sweep order for n indices: m - 1 rounds of disjoint pairs
+    (p, q), p < q, with m = n + n % 2.  Round r pairs ring[j] with
+    ring[m - 1 - j], where ring starts as 0..m-1 and ring[1:] turns one place
+    per round; the pair of odd n's idle label n (the bye) is left out."""
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = (sorted((ring[j], ring[m - 1 - j])) for j in range(m // 2))
+        rounds.append([(p, q) for p, q in pairs if q < n])
+        ring[1:] = ring[-1:] + ring[1:-1]
+    return rounds
+
+
+@pytest.mark.parametrize("n", range(2, 34))
+def test_round_robin_meets_every_pair_once_per_sweep(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == n + n % 2 - 1
+    for pairs in rounds:
+        labels = [i for pair in pairs for i in pair]
+        assert len(labels) == len(set(labels)) == 2 * (n // 2), pairs
+    met = sorted(pair for pairs in rounds for pair in pairs)
+    assert met == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
 def _full_storage_model(m, max_sweeps, tol):
     """(converged, sweeps) and the rotated matrix of cyclic Jacobi sweeps over
-    the full storage, in pure Python: the kernel's formulas in its pair order,
-    each rotation writing a[i][p] and a[p][i] as one value."""
+    the full storage, in pure Python: the kernel's formulas in its round-robin
+    order, one rotation at a time, each writing a[i][p] and a[p][i] as one
+    value.  The kernel pivots a whole round before it rotates; no rotation of
+    a round writes another pair's pivot, so the bits are the same."""
     a = [[float(x) for x in row] for row in np.asarray(m, dtype=np.float64)]
     n = len(a)
     skip = 0.1 * tol / n
@@ -163,7 +191,7 @@ def _full_storage_model(m, max_sweeps, tol):
         for used in range(max_sweeps):
             if off_norm() < tol:
                 break
-            for p, q in ((p, q) for p in range(n - 1) for q in range(p + 1, n)):
+            for p, q in (pair for pairs in _round_robin(n) for pair in pairs):
                 apq, app, aqq = a[p][q], a[p][p], a[q][q]
                 if abs(apq) <= skip:
                     continue
@@ -191,7 +219,8 @@ def test_kernel_matches_the_full_storage_model_bit_for_bit():
     rng = np.random.default_rng(19)
     # a negated adjacency matrix's first pivots have theta = -0.0
     matrices = [sign * m for _, m in _family_matrices(1, 16) for sign in (1.0, -1.0)]
-    for n in (2, 5, 9, 16):
+    # at odd n (5, 9, 7, 15) one index idles in every round
+    for n in (2, 5, 9, 16, 7, 15):
         x = rng.standard_normal((n, n))
         matrices.append(x + x.T)
     for m in matrices:
@@ -206,20 +235,20 @@ def test_kernel_matches_the_full_storage_model_bit_for_bit():
 # (converged, sweeps) of the compiled kernel at n = 2..48 from each family's
 # least order; every run converged
 _KERNEL_SWEEPS = {
-    "p": [1, 3, 4, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7,
-          7, 7, 8, 8, 7, 8, 8, 8, 9, 8, 9, 9, 9, 8, 9, 9, 9, 9, 8, 9, 9, 9, 9],
-    "c": [1, 3, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6, 7, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7,
-          7, 8, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9],
-    "z": [4, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8,
-          8, 8, 8, 8, 9, 8, 9, 9, 8, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 8, 9],
-    "w": [5, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 7, 8, 8, 8,
-          8, 8, 8, 8, 9, 8, 9, 8, 8, 9, 9, 9, 9, 9, 9, 8, 9, 9, 9],
+    "p": [1, 3, 2, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 6, 6,
+          7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 7, 7, 7, 8, 8, 7, 7, 8, 8, 7],
+    "c": [1, 1, 4, 4, 4, 5, 5, 6, 6, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 6, 6, 6,
+          7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 7, 7, 7, 8, 7, 7, 7, 7, 7],
+    "z": [1, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7,
+          7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8],
+    "w": [4, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 6, 7, 7, 7, 7,
+          7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 7, 8, 7, 7, 7, 7, 7, 8],
 }
 # the same for _random_connected_adjacency(rng, n, rng.randrange(2 * n)),
 # n = 2..48 in turn, with rng = random.Random(13)
 _KERNEL_RANDOM_SWEEPS = [
-    1, 1, 4, 1, 1, 5, 6, 6, 6, 6, 6, 6, 6, 7, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7,
-    7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8, 7, 7, 7, 7, 7, 8, 7, 7,
+    1, 1, 4, 1, 1, 5, 5, 5, 5, 5, 6, 6, 6, 6, 5, 6, 6, 6, 6, 7, 6, 7, 6, 6,
+    7, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 8, 7, 7, 8, 7, 7, 7, 7, 7,
 ]
 
 
@@ -237,6 +266,18 @@ def test_pure_sweep_counts_unchanged():
         for n in range(2, 49)
     ]
     assert random_runs == [(True, sweeps) for sweeps in _KERNEL_RANDOM_SWEEPS]
+
+
+def test_kernel_has_no_cap_on_the_order():
+    # the round's scratch arrays are allocated per call: at n = 2049 the one
+    # coupling a[0][2048] is rotated away in the first sweep
+    n = 2049
+    m = np.zeros((n, n))
+    m[0, n - 1] = m[n - 1, 0] = 1.0
+    (converged, sweeps), a = _kernel_run(m)
+    assert converged and sweeps <= 2
+    assert np.array_equal(np.sort(a.diagonal()), [-1.0] + [0.0] * (n - 2) + [1.0])
+    assert np.count_nonzero(a) == 2
 
 
 def test_pure_backend_returns_input_order():

@@ -99,7 +99,9 @@ typedef struct {
    divisions and square roots do not wait on each other or on a rotation.
    The rotations then run in pair order, so every element gets the same
    updates, with the same operands, in the same order, as when each pair's
-   pivot and rotation run one after the other. */
+   pivot and rotation run one after the other.  That plainer loop, which
+   needs only the ring, was measured: no faster than row order, and slower
+   than this one on every oracle benchmark run (BENCH_round_robin.json). */
 static void
 sweep(double *a, Py_ssize_t n, double skip, const scratch *w)
 {

@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     adjacency_matrix,
     build_family,
+    family_adjacency,
     from_edge_list_text,
     to_edge_list_text,
 )

@@ -107,8 +107,7 @@ def run_spectrum(args):
         if source != "numeric":
             values = closed = spectra.closed_spectrum(spec)
         if source != "closed":
-            m = graphs.adjacency_matrix(graphs.build_family(spec))
-            values = spectra.numeric_spectrum(m)
+            values = spectra.numeric_spectrum(graphs.family_adjacency(spec))
 
     if source == "both":
         deviation = spectra.spectrum_deviation(closed, values)
@@ -182,7 +181,7 @@ def _additivity_rows(pair, lo, hi):
 def _oracle_rows(pair, lo, hi):
     for family, n in graphs.family_orders(lo, hi):
         spec = FamilySpec(family, n)
-        numeric = spectra.numeric_spectrum(graphs.adjacency_matrix(graphs.build_family(spec)))
+        numeric = spectra.numeric_spectrum(graphs.family_adjacency(spec))
         deviation = spectra.spectrum_deviation(spectra.closed_spectrum(spec), numeric)
         failure = f"deviation={deviation:.3g}" if deviation >= ORACLE_TOL else None
         yield f"family={family.value} n={n}", failure, deviation

@@ -6,7 +6,8 @@ spine end n-3; W_n (s = n-4) hangs n-4, n-3 on spine end 0 and n-2, n-1 on
 spine end n-5.  Z_n and W_n are the paper's coalescences: Z_n joins an end of
 P_{n-2} to the centre of P_3, W_n joins Z_{n-2}'s vertex 0 to the centre of
 P_3.  The fixed labels keep adjacency matrices bit-reproducible across runs.
-Only build_family and adjacency_matrix import numpy, when called.
+Only build_family, family_adjacency and adjacency_matrix import numpy, when
+called.
 """
 
 import math
@@ -104,22 +105,48 @@ def _check_dense_order(n: int):
         raise OrderTooLargeError(f"adjacency matrix requires n <= {math.isqrt(MAX_ORDER)}")
 
 
-def build_family(spec: FamilySpec) -> Graph:
-    """The family member for the dense oracle, laid out as the module states.
-    An order whose adjacency matrix cannot exist, or cannot fit in memory,
-    raises before any edge is built."""
-    import numpy as np
-
+def _layout(spec: FamilySpec):
+    """(spine length s, end edges) of the family member, as the module states."""
     n = spec.n
-    _check_dense_order(n)
-    np.empty((n, n))  # reserves without touching memory; MemoryError if it cannot
-    s, added = {
+    return {
         Family.PATH: (n, ()),
         Family.CYCLE: (n, ((0, n - 1),)),
         Family.Z_TREE: (n - 2, ((n - 3, n - 2), (n - 3, n - 1))),
         Family.W_TREE: (n - 4, ((0, n - 4), (0, n - 3), (n - 5, n - 2), (n - 5, n - 1))),
     }[spec.family]
+
+
+def build_family(spec: FamilySpec) -> Graph:
+    """The family member, laid out as the module states.  An order whose
+    adjacency matrix cannot exist, or cannot fit in memory, raises before any
+    edge is built."""
+    import numpy as np
+
+    n = spec.n
+    _check_dense_order(n)
+    np.empty((n, n))  # reserves without touching memory; MemoryError if it cannot
+    s, added = _layout(spec)
     return Graph(n, [*((i, i + 1) for i in range(s - 1)), *added])
+
+
+def family_adjacency(spec: FamilySpec):
+    """adjacency_matrix(build_family(spec)), written straight from the layout
+    with no Graph: the spine's super- and sub-diagonal as two strided stores
+    on the flat view, then the end edges one by one."""
+    import numpy as np
+
+    n = spec.n
+    _check_dense_order(n)
+    m = np.zeros((n, n))  # MemoryError if it cannot fit
+    s, added = _layout(spec)
+    # spine entries (i, i+1) and (i+1, i), i < s-1, sit at i*(n+1) + 1 and + n
+    flat, stop = m.reshape(-1), (s - 1) * (n + 1)
+    flat[1:stop:n + 1] = 1.0
+    flat[n:stop + n:n + 1] = 1.0
+    for u, v in added:
+        m[u, v] = 1.0
+        m[v, u] = 1.0
+    return m
 
 
 def adjacency_matrix(g: Graph):

@@ -102,6 +102,28 @@ class TestSpectrum:
         assert (code, out) == (2, "")
         assert err == f"error: adjacency matrix requires n <= {n - 1}\n"
 
+    def test_family_numeric_builds_no_graph_and_matches_its_edge_list(
+            self, capsys, monkeypatch, tmp_path):
+        # the family matrix comes from the layout alone; its eigenvalues are
+        # those of the family's edge list read as a graph file, bit for bit
+        def no_graph(*args):
+            raise AssertionError("a graph was built")
+
+        graph_file = tmp_path / "family.txt"
+        for family, k in graphs.family_orders(1, 40):
+            graph_file.write_text(to_edge_list_text(build_family(FamilySpec(family, k))))
+            code, out, _ = run(capsys, "spectrum", "--graph-file", str(graph_file),
+                               "--format", "json")
+            assert code == 0
+            expected = json.loads(out)["values"]
+            with monkeypatch.context() as patch:
+                patch.setattr(graphs, "Graph", no_graph)
+                for source, key in (("numeric", "values"), ("both", "numeric")):
+                    code, out, _ = run(capsys, "spectrum", "--family", family.value,
+                                       "--n", str(k), "--source", source, "--format", "json")
+                    assert code == 0
+                    assert json.loads(out)[key] == expected, (family, k, source)
+
     def test_csv_output(self, capsys, tmp_path):
         out_file = tmp_path / "spec.csv"
         code, _, _ = run(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -12,11 +13,12 @@ from specdist import (
     Graph,
     adjacency_matrix,
     build_family,
+    family_adjacency,
     from_edge_list_text,
     to_edge_list_text,
 )
 from specdist.errors import OrderTooLargeError, OrderTooSmallError
-from specdist.graphs import MAX_ORDER, MIN_ORDER
+from specdist.graphs import MAX_ORDER, MIN_ORDER, family_orders
 
 
 def build(family, n):
@@ -306,6 +308,26 @@ class TestAdjacency:
         assert sorted(m.sum(axis=1), reverse=True) == [3, 1, 1, 1]
         assert np.array_equal(m, m.T)
         assert np.all(np.diagonal(m) == 0)
+
+
+class TestFamilyAdjacency:
+    """family_adjacency writes, from the layout alone, the matrix that
+    adjacency_matrix builds from the validated edge set."""
+
+    def test_equals_the_matrix_of_the_edge_set(self):
+        for family, n in family_orders(1, 200):
+            spec = FamilySpec(family, n)
+            m = family_adjacency(spec)
+            assert m.dtype == np.float64 and m.shape == (n, n) and m.flags.c_contiguous
+            assert np.array_equal(m, adjacency_matrix(build_family(spec))), spec
+
+    def test_order_too_large_raises_as_the_edge_set_does(self):
+        n = math.isqrt(MAX_ORDER) + 1
+        for family in Family:
+            spec = FamilySpec(family, n)
+            kind, message = raised(family_adjacency, spec)
+            assert kind is OrderTooLargeError
+            assert (kind, message) == raised(lambda: adjacency_matrix(build_family(spec)))
 
 
 class TestFamilySpec:

@@ -1,9 +1,10 @@
 """Spectral distances between paths, cycles and the snake trees Z_n, W_n.
 
 Importing the package loads only what the closed forms use from the standard
-library (math, json, enum, collections and os; specdist.cli adds
-argparse), so the closed forms, the exact sign patterns and the limit scans
-run on Python ints and math alone.  The records are namedtuples: dataclasses
+library (math, json, enum, collections and os; specdist.cli loads argparse
+only for a command line its grammar table does not read), so the closed
+forms, the exact sign patterns and the limit scans run on Python ints and
+math alone.  The records are namedtuples: dataclasses
 would bring inspect, ast and dis.  numpy is imported inside each function
 that builds or reads an array, and sysconfig where the Jacobi kernel is
 loaded, both at the first numeric call.

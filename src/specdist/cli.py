@@ -21,28 +21,22 @@ module or the package: scan, dist --mode closed in text and the two exact
 verify checks run on Python ints and math alone and never load it (nor the
 Jacobi kernel, which only the numeric spectra load).
 
-main() builds the argument parser on its first call and reuses it for every
-later call in the process.  When argv[0] names a command, main() reads the
-rest of argv straight from that command's store actions if it is only
-"--option value" pairs, each option spelled in full and given once, each
-value non-empty, not starting with "-", of the option's type and among its
-choices, every required option present; options left out get their
-defaults.  That command's parser reads every other argv, so argparse still
-owns help, errors, abbreviations, the "--option=value" spelling and values
-starting with "-".  The top-level parser reads argv only when it is empty or
-argv[0] is not a command (--help, -h, an unknown command or an option before
-the command).  Either way a rejected argument, unrecognized ones included,
-is reported by the parser that read it.  The parser holds no handler,
-tolerance or default of the program: each call looks up run_<command> in
-this module, the tolerances and limits.DEFAULT_N_MAX when it runs, so they
-can be patched between calls.
+The grammar is stated once, in _GRAMMAR.  A command line that is only
+"--option value" pairs that the command's parser would accept is read from
+that table alone (_read_pairs), without argparse.  Any other builds the
+parser from the table, once per process, and argparse reads it: after a
+command name that command's parser, so argparse owns help, errors,
+abbreviations, "--option=value" and values starting with "-", else the
+top-level parser.  Neither holds a handler, tolerance or default of the
+program: each call looks up run_<command> in this module, the tolerances
+and limits.DEFAULT_N_MAX when it runs, so they can be patched between calls.
 """
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from . import distance, graphs, limits, spectra
 from .errors import ConvergenceError, UsageError
@@ -59,11 +53,14 @@ def _parse_range(text):
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
+        error = None if lo <= hi else f"empty range {text!r}"
     except ValueError:
-        raise argparse.ArgumentTypeError(f'range must look like "a..b", got {text!r}')
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
+        error = f'range must look like "a..b", got {text!r}'
+    if error is None:
+        return lo, hi
+    from argparse import ArgumentTypeError
+
+    raise ArgumentTypeError(error)
 
 
 def _emit(text, out_path):
@@ -153,7 +150,7 @@ def run_dist(args):
     if report:
         _emit(report.to_json() + "\n", args.out)
     else:
-        if args.pair != "pw":
+        if args.pair in distance.PATTERN_PAIRS:
             holds = distance.pattern_mismatch(args.pair, args.n) is None
             lines.append(f"pattern_matches_proof {holds}")
         _emit("\n".join(lines) + "\n", args.out)
@@ -255,91 +252,94 @@ def run_scan(args):
     return 0
 
 
+# command -> (its help line, {option: the keywords add_argument takes})
+_GRAMMAR = {
+    "spectrum": ("Eigenvalues of a family member", {
+        "--family": {"choices": [f.value for f in Family]},
+        "--n": {"type": int},
+        "--source": {"choices": ["closed", "numeric", "both"]},
+        "--graph-file": {"help": "edge-list file for the numeric oracle"},
+        "--format": {"choices": ["text", "csv", "json"], "default": "text"},
+        "--out": {}}),
+    "dist": ("Spectral distance of a pair at order n", {
+        "--pair": {"choices": distance.PAIRS, "required": True},
+        "--n": {"type": int, "required": True},
+        "--mode": {"choices": ["direct", "closed", "both"], "default": "direct"},
+        "--format": {"choices": ["text", "json"], "default": "text"},
+        "--out": {}}),
+    "verify": ("Run a verification suite over a range", {
+        "--check": {"choices": list(_CHECKS), "required": True},
+        "--pair": {"choices": distance.PATTERN_PAIRS},
+        "--n": {"type": _parse_range, "required": True,
+                "help": 'inclusive range "a..b"; write --n=-3..0 for a start below zero'}}),
+    "scan": ("Scan a sigma sequence and extrapolate its limit", {
+        "--pair": {"choices": distance.PAIRS, "required": True},
+        "--residue": {"type": int, "choices": limits.RESIDUES},
+        "--n-max": {"type": int},
+        "--format": {"choices": ["csv", "json"], "default": "csv"},
+        "--out": {}}),
+}
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process and shared by every main()
-    call; nothing may change it after it is built.  Its commands attribute
-    maps each command name to that command's parser."""
+    """The argument parser for _GRAMMAR, built once per process and shared by
+    every main() call; nothing may change it after it is built.  Its commands
+    attribute maps each command name to that command's parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="specdist",
         description="Spectral distances between paths, cycles and snake trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
-
-    sp = sub.add_parser("spectrum", help="Eigenvalues of a family member")
-    sp.add_argument("--family", choices=[f.value for f in Family])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--source", choices=["closed", "numeric", "both"])
-    sp.add_argument("--graph-file", help="edge-list file for the numeric oracle")
-    sp.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    sp.add_argument("--out")
-
-    dp = sub.add_parser("dist", help="Spectral distance of a pair at order n")
-    dp.add_argument("--pair", choices=distance.PAIRS, required=True)
-    dp.add_argument("--n", type=int, required=True)
-    dp.add_argument("--mode", choices=["direct", "closed", "both"], default="direct")
-    dp.add_argument("--format", choices=["text", "json"], default="text")
-    dp.add_argument("--out")
-
-    vp = sub.add_parser("verify", help="Run a verification suite over a range")
-    vp.add_argument("--check", choices=list(_CHECKS), required=True)
-    vp.add_argument("--pair", choices=[p for p in distance.PAIRS if p != "pw"])
-    vp.add_argument("--n", type=_parse_range, required=True,
-                    help='inclusive range "a..b"; write --n=-3..0 for a start below zero')
-
-    cp = sub.add_parser("scan", help="Scan a sigma sequence and extrapolate its limit")
-    cp.add_argument("--pair", choices=distance.PAIRS, required=True)
-    cp.add_argument("--residue", type=int, choices=[0, 1, 2, 3])
-    cp.add_argument("--n-max", type=int)
-    cp.add_argument("--format", choices=["csv", "json"], default="csv")
-    cp.add_argument("--out")
+    for name, (help_line, options) in _GRAMMAR.items():
+        command = sub.add_parser(name, help=help_line)
+        for option, keywords in options.items():
+            command.add_argument(option, **keywords)
     return parser
 
 
-def _read_pairs(command, name, argv):
-    """What command.parse_args(argv, Namespace(command=name)) returns, read
-    straight from the parser's store actions when argv is only "--option
-    value" pairs that it accepts; None for anything else, which argparse then
-    reads: help, "--option=value", an abbreviation, a repeated option, a
-    value that is empty or starts with "-", a bad type or choice, a missing
-    required option or a stray token."""
+def _read_pairs(name, argv):
+    """What the parser of command name returns for argv, read from _GRAMMAR
+    when argv is only "--option value" pairs that the parser accepts; None
+    for anything else, which argparse then reads: help, "--option=value", an
+    abbreviation, a repeated option, a value that is empty or starts with
+    "-", a bad type or choice, a missing required option or a stray token."""
+    options, given = _GRAMMAR[name][1], {}
     if len(argv) % 2:
         return None
-    table, given = command._option_string_actions, {}
     for option, text in zip(argv[::2], argv[1::2]):
-        action = table.get(option)
-        if (type(action) is not argparse._StoreAction or action.dest in given
-                or not text or text[0] == "-"):
+        keywords = options.get(option)
+        if keywords is None or option in given or not text or text[0] == "-":
             return None
         try:
-            value = text if action.type is None else action.type(text)
-        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            value = keywords.get("type", str)(text)
+        except Exception:
             return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in keywords and value not in keywords["choices"]:
             return None
-        given[action.dest] = value
-    args = argparse.Namespace(command=name)
-    for action in command._actions:
-        if action.dest in given:
-            setattr(args, action.dest, given[action.dest])
-        elif action.required:
+        given[option] = value
+    args = types.SimpleNamespace(command=name)
+    for option, keywords in options.items():
+        if option not in given and keywords.get("required"):
             return None
-        elif action.default is not argparse.SUPPRESS:
-            setattr(args, action.dest, action.default)
+        # argparse's dest: the option without its dashes, "-" read as "_"
+        setattr(args, option[2:].replace("-", "_"), given.get(option, keywords.get("default")))
     return args
 
 
 def main(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # help, no command, or an unknown word or option first
-        args = parser.parse_args(argv)
-    else:
-        args = _read_pairs(command, argv[0], argv[1:])
-        if args is None:
-            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    name = argv[0] if argv and argv[0] in _GRAMMAR else None
+    args = _read_pairs(name, argv[1:]) if name else None
+    if args is None:
+        parser = build_parser()
+        if name is None:  # help, no command, or an unknown word or option first
+            args = parser.parse_args(argv)
+        else:
+            args = parser.commands[name].parse_args(argv[1:], types.SimpleNamespace(command=name))
     try:
         return globals()[f"run_{args.command}"](args)
     except (UsageError, OSError) as exc:

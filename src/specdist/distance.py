@@ -20,6 +20,8 @@ from .graphs import MIN_ORDER, Family, FamilySpec
 from .spectra import angle_progressions, closed_spectrum
 
 PAIRS = ("pz", "wz", "pw", "cz")
+# the pairs whose sign pattern the case analysis asserts; pw has none
+PATTERN_PAIRS = ("pz", "wz", "cz")
 
 _PAIR_FAMILIES = {
     "pz": (Family.PATH, Family.Z_TREE),
@@ -341,6 +343,8 @@ def expected_pattern_runs(pair: str, n: int):
     writes out: one class from _residue_bounds for pz and wz (the lower half
     mirrors the upper, sign flipped), the odd and the even k for cz."""
     check_pair_order(pair, n, closed=True)
+    if pair not in PATTERN_PAIRS:
+        raise ValueError(f"no asserted pattern for pair {pair!r}")
     half = n // 2
     if pair == "cz":
         if half % 2:
@@ -348,8 +352,6 @@ def expected_pattern_runs(pair: str, n: int):
         odd = [(1, half - 1, 1), (half + 1, half + 1, 0), (half + 3, n - 1, 1)]
         even = [(2, half - 2, -1), (half, half, 0), (half + 2, n, -1)]
         return tuple([run for run in runs if run[0] <= run[1]] for runs in (odd, even))
-    if pair not in ("pz", "wz"):
-        raise ValueError(f"no asserted pattern for pair {pair!r}")
     first = -1 if pair == "pz" else 1
     k1_hi, k2_lo, k2_hi, equal_ks = _residue_bounds(pair, n)
     # these runs tile k = 1..n - half, and the lower half mirrors k <= half

@@ -20,6 +20,9 @@ _TARGETS = {"pz": L_STAR, "wz": L_STAR, "pw": 2.0 * L_STAR, "cz": 2.0}
 
 DEFAULT_N_MAX = 100_000
 
+# the residue classes mod 4 that a scan of pz, wz or pw follows
+RESIDUES = (0, 1, 2, 3)
+
 
 def target_constant(pair: str) -> float:
     """The proven limit of the pair's sigma sequence."""
@@ -60,7 +63,7 @@ def _scan_residue(pair: str, residue):
     if pair == "cz":
         if residue is not None:
             raise ResidueMismatchError(f"pair cz takes no residue, got {residue!r}")
-    elif residue not in (0, 1, 2, 3):
+    elif residue not in RESIDUES:
         raise ResidueMismatchError(f"pair {pair} requires a residue 0..3, got {residue!r}")
     return residue
 

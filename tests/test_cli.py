@@ -720,6 +720,37 @@ class TestDirectRead:
         with pytest.raises(AssertionError, match="argparse read"):
             main(["scan", "--pair=cz"])
 
+    # prints which of argparse and shutil main(argv) left loaded and how many
+    # parsers it built, on stderr after the command's own output
+    PROBE = ("import sys; from specdist import cli\n"
+             "try:\n    code = cli.main(sys.argv[1:])\n"
+             "finally:\n    print(sorted({'argparse', 'shutil'} & set(sys.modules)),\n"
+             "          cli.build_parser.cache_info().currsize, file=sys.stderr)\n"
+             "sys.exit(code)")
+
+    # the README's closed-form lines: no numpy, no input file
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--pair", "pz", "--residue", "1", "--n-max", "100000", "--out", "{tmp}/scan.csv"),
+        ("dist", "--pair", "cz", "--n", "4", "--mode", "closed"),
+        ("verify", "--check", "interlacing", "--pair", "pz", "--n", "4..500"),
+        ("verify", "--check", "bipartite-symmetry", "--n", "4..2000"),
+    ], ids=" ".join)
+    def test_well_formed_lines_never_load_argparse(self, capsys, tmp_path, argv):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        proc = run_fresh(self.PROBE, *argv, flags=["-S"])
+        assert (proc.returncode, proc.stderr.splitlines()[-1]) == (0, "[] 0"), proc.stderr
+        assert proc.stdout == run(capsys, *argv)[1]
+
+    def test_the_rest_still_builds_the_parser(self, capsys):
+        proc = run_fresh(self.PROBE, "--help", flags=["-S"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: specdist [-h] {spectrum,dist,verify,scan} ...\n")
+        assert proc.stderr == "['argparse', 'shutil'] 1\n"
+        proc = run_fresh(self.PROBE, "scan", "--pa", "pz", "--res", "1", flags=["-S"])
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines()[-1] == "['argparse', 'shutil'] 1"
+        assert proc.stdout == run(capsys, "scan", "--pair", "pz", "--residue", "1")[1]
+
 
 class TestWithoutNumpy:
     """Importing the package loads no numpy, and the closed-form commands run
@@ -734,9 +765,10 @@ class TestWithoutNumpy:
 
     def test_import_loads_none_of_the_heavy_modules(self):
         # dataclasses would bring inspect, ast and dis; sysconfig only the
-        # kernel build needs; pathlib brings urllib.parse and fnmatch.  -S skips
-        # site, whose .pth files may import pathlib before specdist does
-        heavy = ["numpy", "dataclasses", "inspect", "sysconfig", "pathlib"]
+        # kernel build needs; pathlib brings urllib.parse and fnmatch; argparse
+        # brings gettext, and only a line the grammar table declines needs it.
+        # -S skips site, whose .pth files may import pathlib before specdist does
+        heavy = ["numpy", "dataclasses", "inspect", "sysconfig", "pathlib", "argparse", "gettext"]
         proc = run_fresh("import sys, specdist, specdist.cli\n"
                          f"print(sorted(set({heavy}) & set(sys.modules)))", flags=["-S"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

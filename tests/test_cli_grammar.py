@@ -2,7 +2,7 @@
 parser's own subcommands, options and choices, plus hostile values and stray
 tokens: every command line ends in a documented exit code with its documented
 output, never in a traceback, and main(), which reads "--option value" pairs
-from the named command's actions and hands the rest of argv to that
+from the command grammar table and hands the rest of argv to that
 command's parser alone, reads it as the full parser does."""
 
 import argparse
@@ -194,7 +194,7 @@ def _command_parse(argv):
 
 
 def _read(argv):
-    return cli._read_pairs(build_parser().commands[argv[0]], argv[0], argv[1:])
+    return cli._read_pairs(argv[0], argv[1:])
 
 
 def test_the_reader_returns_what_the_command_parser_returns(tmp_path):

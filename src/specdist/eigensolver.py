@@ -21,6 +21,7 @@ norm below 1e-12 * n, within a budget of SWEEP_BUDGET (100) sweeps, read at
 call time.
 """
 
+import _thread
 import contextlib
 import functools
 import importlib
@@ -65,20 +66,28 @@ def _compile(target):
             os.unlink(tmp)
 
 
+# held around _kernel's check, build and import: functools.cache does not stop
+# two threads from making the first call at once, and sysconfig, half set up
+# by one, gives the other None for EXT_SUFFIX.  _thread is already loaded,
+# where threading would be a new import.
+_KERNEL_LOCK = _thread.allocate_lock()
+
+
 @functools.cache
 def _kernel():
     """The compiled jacobi_sweeps, built first when the source is newer."""
-    import sysconfig
+    with _KERNEL_LOCK:
+        import sysconfig
 
-    if os.path.exists(_SOURCE):
-        target = os.path.join(os.path.dirname(_SOURCE),
-                              "_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
-        if not os.path.exists(target) or os.path.getmtime(target) < os.path.getmtime(_SOURCE):
-            _compile(target)
-            importlib.invalidate_caches()
-    from ._jacobi import jacobi_sweeps
+        if os.path.exists(_SOURCE):
+            target = os.path.join(os.path.dirname(_SOURCE),
+                                  "_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
+            if not os.path.exists(target) or os.path.getmtime(target) < os.path.getmtime(_SOURCE):
+                _compile(target)
+                importlib.invalidate_caches()
+        from ._jacobi import jacobi_sweeps
 
-    return jacobi_sweeps
+        return jacobi_sweeps
 
 
 # a plain function, bound at import before any kernel is loaded, so that

@@ -2,8 +2,9 @@
 
 Every scan point is a closed-form sigma evaluated in O(1) (Lagrange prefix
 sums), so a scan costs O(samples) whatever its n_max; the dense eigensolver
-never enters here.  Limits are estimated by a first-order Richardson step
-on the last two samples at their own orders.
+never enters here.  A limit is extrapolated to 1/n = 0 by Neville's tableau
+on the last samples at their own orders, to the highest order whose
+correction stands above rounding (richardson_extrapolate).
 """
 
 import json
@@ -19,6 +20,12 @@ L_STAR = (8.0 - 8.0 * math.sqrt(2.0) + 2.0 * math.pi) / math.pi
 _TARGETS = {"pz": L_STAR, "wz": L_STAR, "pw": 2.0 * L_STAR, "cz": 2.0}
 
 DEFAULT_N_MAX = 100_000
+
+# richardson_extrapolate's stop rule, derived in its docstring: a scan sample
+# is within SAMPLE_ULPS ulp of its exact value, and a correction whose weights'
+# magnitudes sum to at most 2 is rounding when it is within KAPPA ulp
+SAMPLE_ULPS = 10
+KAPPA = 2 * SAMPLE_ULPS
 
 # the residue classes mod 4 that a scan of pz, wz or pw follows
 RESIDUES = (0, 1, 2, 3)
@@ -41,11 +48,50 @@ def alternating_sum(n: int) -> float:
 
 
 def richardson_extrapolate(samples) -> float:
-    """First-order Richardson step on the last two samples.
+    """Polynomial extrapolation in h = 1/n to h = 0, by Neville's tableau.
 
-    Assumes error ~ c/n: the line through (1/n1, v1) and (1/n2, v2) meets
-    1/n = 0 at (n2*v2 - n1*v1) / (n2 - n1), whatever the ratio n2/n1.  When
-    n1 is a power of two and n2 = 2*n1, that is 2*v2 - v1 to the bit.
+    A sample's error expands as c1*h + c2*h**2 + ..., so the polynomial in
+    h through the last min(4, len - 1) samples, at their true orders, meets
+    h = 0 at the limit up to the next term (Richardson, Phil. Trans. R. Soc.
+    A 226 (1927); Bulirsch & Stoer, Numer. Math. 6 (1964)).  The first
+    sample, the pair's minimum order, lies outside that regime and never
+    enters a fit.  Each tableau entry is the first-order step applied again,
+    (n_b*P1 - n_a*P0) / (n_b - n_a), where P0 and P1 are the entries on the
+    nodes n_a..n_b less n_b and less n_a.  The diagonal E_1, E_2, E_3 ends
+    at the last sample, and E_1 is the two-point step, exact for L + c/n
+    whatever n2/n1; so three samples give (n2*v2 - n1*v1) / (n2 - n1), which
+    is 2*v2 - v1 to the bit when n1 is a power of two and n2 = 2*n1.
+
+    Stop rule: E_j replaces E_{j-1} only while |E_j - E_{j-1}| exceeds
+    KAPPA ulp of E_{j-1}; the first correction within that ends the tableau,
+    since rounding alone can make it.  KAPPA follows from the weights:
+
+    - E_j is sum_i l_i v_i, l_i the Lagrange weights at h = 0 of its nodes.
+      Every grid order is at least twice the one before, and on such nodes
+      sum |l_i| is largest at exact doubling: LAMBDA = 3, 5, 45/7 on 2, 3, 4
+      nodes.
+    - The correction E_j - E_{j-1} is sum_i d_i v_i, d_i the difference of
+      the two entries' weights, and sum |d_i| <= 2 (j = 2 at exact doubling,
+      d = (1/3, -1, 2/3); 10/7 at j = 3).
+    - A scan's samples lie within SAMPLE_ULPS = 10 ulp of their exact values
+      (9.1 at most against mpmath, over every grid order to 10**150).
+
+    So the samples' rounding moves a correction by at most 2 * SAMPLE_ULPS
+    = KAPPA = 20 ulp.  The tableau's own rounding, bounded below only
+    loosely, adds little: over every grid prefix, corrections that are
+    rounding alone reach 16 ulp.  Past n of about 1e9 every correction after
+    E_1 is rounding, and the rule returns the two-point step.
+
+    Bound, in ulp of the largest value in the tableau: on v(n) = L + c1/n +
+    c2/n**2 + c3/n**3 the four-node entry is L up to rounding, at most
+    LAMBDA * rho from samples within rho of their exact values, plus
+    TAU = 33 from the tableau itself.  (A step with a = n_b / (n_b - n_a)
+    and b = a - 1 rounds two order conversions, two products, the difference,
+    the divisor and the quotient, at most 2 (a + b) + 3 ulp, and passes on
+    its inputs' errors times a + b <= 3, 5/3, 9/7 in columns 1, 2, 3: 9,
+    64/3, 231/7 = 33.)  Stopping one entry early adds at most KAPPA, and
+    stopping at E_1 with four nodes also the three-point entry's truncation,
+    |c3| / (n1 n2 n3) over the last three orders.
     """
     samples = list(samples)
     if len(samples) < 3:
@@ -53,8 +99,28 @@ def richardson_extrapolate(samples) -> float:
     ns = [n for n, _ in samples]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("sample orders must be strictly increasing")
-    (n1, v1), (n2, v2) = samples[-2], samples[-1]
-    return (n2 * v2 - n1 * v1) / (n2 - n1)
+    # the tableau on the last four orders n0 < n1 < n2 < n3, written out;
+    # each entry is the step on the two to its left, the diagonal is E_j:
+    #   v0
+    #   v1  b1
+    #   v2  c1  c2
+    #   v3  e1  e2  e3
+    (n2, v2), (n3, v3) = samples[-2:]
+    e1 = (n3 * v3 - n2 * v2) / (n3 - n2)
+    if len(samples) == 3:
+        return e1
+    n1, v1 = samples[-3]
+    c1 = (n2 * v2 - n1 * v1) / (n2 - n1)
+    e2 = (n3 * e1 - n1 * c1) / (n3 - n1)
+    if abs(e2 - e1) <= KAPPA * math.ulp(e1):
+        return e1
+    if len(samples) == 4:
+        return e2
+    n0, v0 = samples[-4]
+    b1 = (n1 * v1 - n0 * v0) / (n1 - n0)
+    c2 = (n2 * c1 - n0 * b1) / (n2 - n0)
+    e3 = (n3 * e2 - n0 * c2) / (n3 - n0)
+    return e2 if abs(e3 - e2) <= KAPPA * math.ulp(e2) else e3
 
 
 def _scan_residue(pair: str, residue):

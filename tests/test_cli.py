@@ -511,6 +511,15 @@ class TestScan:
         payload = json.loads(out)
         assert abs(payload["extrapolated"] - 0.9452) < 1e-3
 
+    @pytest.mark.parametrize("argv", [("cz", "--n-max", "100"),
+                                      ("wz", "--residue", "1", "--n-max", "150")])
+    def test_short_scans_within_tolerance(self, capsys, argv):
+        # the two-point step missed SCAN_TOL on these grids (abs_error 3.0e-3
+        # and 1.4e-3); the fit on the last three or four samples does not
+        code, out, _ = run(capsys, "scan", "--pair", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["abs_error"] <= cli.SCAN_TOL[argv[0]]
+
     def test_env_tolerance_failure(self, capsys, monkeypatch):
         monkeypatch.setenv("SPECTRA_TOL", "1e-15")
         code, out, _ = run(capsys, "scan", "--pair", "cz", "--n-max", "10000")

@@ -35,6 +35,7 @@ from specdist.distance import (
 )
 from specdist.errors import LengthMismatchError, OrderTooLargeError, OrderTooSmallError
 from specdist.graphs import MIN_ORDER
+from specdist.limits import SAMPLE_ULPS, default_grid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -278,6 +279,22 @@ class TestClosedFormReference:
         # the Lagrange form cancels about 150 digits here
         with mp.workdps(200):
             assert abs(sigma_closed(pair, n) - _mp_lagrange(pair, n)) <= 1e-14
+
+    @pytest.mark.parametrize("cls", [(p, r) for p in ("pz", "wz", "pw") for r in range(4)]
+                             + [("cz", None)])
+    def test_scan_samples_within_sample_ulps(self, cls):
+        # the premise of the extrapolation's stop rule (limits.KAPPA): every
+        # grid order to 1e20 and every eighth beyond, up to 10**150
+        grid = default_grid(*cls, n_max=MAX_CLOSED_ORDER)
+        orders = [n for n in grid if n <= 10**20] + [n for n in grid if n > 10**20][::8]
+        for n in orders:
+            v = sigma_closed(cls[0], n)
+            if n < 1000:
+                exact = _mp_direct(cls[0], n)
+            else:
+                with mp.workdps(30 + len(str(n))):
+                    exact = _mp_lagrange(cls[0], n)
+            assert abs(v - exact) <= SAMPLE_ULPS * math.ulp(v), n
 
     def test_lagrange_reference_matches_direct_sums(self):
         with mp.workdps(50):

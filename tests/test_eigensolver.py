@@ -459,3 +459,40 @@ def test_compiler_flags_that_cannot_be_split_exit_2(tmp_path):
     assert line.startswith("error: cannot build the Jacobi kernel "), line
     assert ": No closing quotation; numeric spectra need a C compiler" in line
     assert _kernel_files(package) == ["_jacobi.c"]
+
+
+def test_two_threads_making_the_first_numeric_call_share_one_build(tmp_path):
+    # a compiler that takes its time, so both threads reach the build at once
+    package = _package_copy(tmp_path)
+    log = tmp_path / "cc.log"
+    slow_cc = tmp_path / "slow_cc.py"
+    slow_cc.write_text(
+        "import shlex, subprocess, sys, sysconfig, time\n"
+        "time.sleep(0.3)\n"
+        f"with open({str(log)!r}, 'a') as f: f.write('run\\n')\n"
+        "cc = shlex.split(sysconfig.get_config_var('CC'))\n"
+        "sys.exit(subprocess.run([*cc, *sys.argv[1:]]).returncode)\n",
+        encoding="utf-8",
+    )
+    script = (
+        "import threading\n"
+        "from specdist import eigensolver\n"
+        "barrier, got = threading.Barrier(2), [None, None]\n"
+        "def first_call(i):\n"
+        "    barrier.wait()\n"
+        "    got[i] = eigensolver._kernel()\n"
+        "threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=120)\n"
+        "print(not any(t.is_alive() for t in threads) and got[0] is not None"
+        " and got[0] is got[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": str(tmp_path),
+                          "CC": f"{shlex.quote(sys.executable)} {shlex.quote(str(slow_cc))}"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+    assert log.read_text() == "run\n"
+    kernel = "_jacobi" + sysconfig.get_config_var("EXT_SUFFIX")
+    assert _kernel_files(package) == sorted(["_jacobi.c", kernel])

@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from specdist import (
     L_STAR,
@@ -17,9 +19,15 @@ from specdist import (
 from specdist.cli import SCAN_TOL
 from specdist.errors import InsufficientSamplesError, OrderTooSmallError, ResidueMismatchError
 from specdist.distance import MAX_CLOSED_ORDER, pair_orders
-from specdist.limits import LimitEstimate, _scan_residue
+from specdist.limits import KAPPA, SAMPLE_ULPS, LimitEstimate, _scan_residue
 
 SCAN_CLASSES = [(p, r) for p in ("pz", "wz", "pw") for r in range(4)] + [("cz", None)]
+
+# richardson_extrapolate's docstring: the largest sum of |Lagrange weight| at
+# h = 0 on 2, 3 and 4 nodes whose ratios are at least 2, and the bound on the
+# tableau's own rounding, in ulp of its largest value
+LAMBDA = {2: 3, 3: 5, 4: Fraction(45, 7)}
+TAU = 33
 
 
 # sequence_scan("cz", n_max=1000) as printed, pinned across changes of its record type
@@ -27,15 +35,15 @@ CZ_1000_REPR = (
     "LimitEstimate(pair='cz', residue=None, samples=((4, 0.5358983848622456), "
     "(8, 1.4920793246745923), (16, 1.7787749703416142), (32, 1.896001194944172), "
     "(64, 1.9495012846158095), (128, 1.9751087995559355), (256, 1.9876419269557661), "
-    "(512, 1.9938426005059384)), extrapolated=2.000043274056111, target=2.0, "
-    "abs_error=4.327405611093127e-05)"
+    "(512, 1.9938426005059384)), extrapolated=2.000000020572593, target=2.0, "
+    "abs_error=2.0572592962508907e-08)"
 )
 CZ_1000_JSON = (
     '{"pair": "cz", "residue": null, "samples": [[4, 0.5358983848622456], '
     '[8, 1.4920793246745923], [16, 1.7787749703416142], [32, 1.896001194944172], '
     '[64, 1.9495012846158095], [128, 1.9751087995559355], [256, 1.9876419269557661], '
-    '[512, 1.9938426005059384]], "extrapolated": 2.000043274056111, "target": 2.0, '
-    '"abs_error": 4.327405611093127e-05}'
+    '[512, 1.9938426005059384]], "extrapolated": 2.000000020572593, "target": 2.0, '
+    '"abs_error": 2.0572592962508907e-08}'
 )
 
 
@@ -100,6 +108,15 @@ class TestRichardson:
         n2 = math.ceil(ratio * n1)
         samples = [(n1 - 1, 0.0), (n1, limit + c / n1), (n2, limit + c / n2)]
         assert abs(richardson_extrapolate(samples) - limit) <= 13 * math.ulp(limit)
+
+    def test_the_first_sample_never_enters_a_fit(self):
+        # the pair's minimum order lies outside the 1/n regime: a nan there
+        # leaves every prefix's result as it was
+        for pair, residue in SCAN_CLASSES:
+            samples = [(n, sigma_closed(pair, n)) for n in default_grid(pair, residue, 10**6)]
+            for k in range(3, len(samples) + 1):
+                moved = [(samples[0][0], math.nan), *samples[1:k]]
+                assert richardson_extrapolate(moved) == richardson_extrapolate(samples[:k])
 
     def test_residue_grid_lands_near_l_star(self):
         samples = [(n, sigma_closed("pz", n)) for n in (4001, 8001, 16001)]
@@ -168,9 +185,10 @@ def test_grids_cut_short_are_prefixes_and_extrapolate(cls, n_max):
 @pytest.mark.parametrize("cls", SCAN_CLASSES)
 def test_every_prefix_against_the_doubling_rule(cls):
     # 2*v2 - v1, the rule for n2 = 2*n1 exactly, as the reference on every
-    # prefix of the class's grid to 10**150: the step at the true orders gives
-    # its bits on power-of-two grids, is no worse below n 2e6, at most 2 ulp
-    # of the target worse beyond, and stays within SCAN_TOL where it did.
+    # prefix of the class's grid to 10**150: the extrapolation gives its bits
+    # on three-sample prefixes of power-of-two grids, is no worse below n 2e6,
+    # at most 2 ulp of the target worse beyond, and stays within SCAN_TOL
+    # where it did.
     pair, residue = cls
     samples = [(n, sigma_closed(pair, n)) for n in default_grid(pair, residue, 10**150)]
     target, tol = target_constant(pair), SCAN_TOL[pair]
@@ -180,7 +198,7 @@ def test_every_prefix_against_the_doubling_rule(cls):
         (_, v1), (n2, v2) = samples[k - 2], samples[k - 1]
         reference = 2.0 * v2 - v1
         got = richardson_extrapolate(samples[:k])
-        if power_of_two:
+        if power_of_two and k == 3:
             assert got.hex() == reference.hex(), n2
         error, reference_error = abs(got - target), abs(reference - target)
         if n2 < 2 * 10**6:
@@ -188,6 +206,71 @@ def test_every_prefix_against_the_doubling_rule(cls):
         else:
             assert error <= reference_error + 2 * math.ulp(target), n2
         assert error <= tol or reference_error > tol, n2
+
+
+@pytest.mark.parametrize("cls", SCAN_CLASSES)
+def test_every_prefix_within_1e_14_or_the_two_point_error(cls):
+    pair, residue = cls
+    samples = [(n, sigma_closed(pair, n)) for n in default_grid(pair, residue, 10**150)]
+    target = target_constant(pair)
+    for k in range(3, len(samples) + 1):
+        (n1, v1), (n2, v2) = samples[k - 2], samples[k - 1]
+        two_point = abs((n2 * v2 - n1 * v1) / (n2 - n1) - target)
+        assert abs(richardson_extrapolate(samples[:k]) - target) <= max(1e-14, two_point), n2
+
+
+def test_default_scans_agree_with_40_digit_limits():
+    with mp.workdps(40):
+        l_star = (8 - 8 * mp.sqrt(2) + 2 * mp.pi) / mp.pi
+        limits = {"pz": l_star, "wz": l_star, "pw": 2 * l_star, "cz": mp.mpf(2)}
+        for pair, residue in SCAN_CLASSES:
+            est = sequence_scan(pair, residue)
+            assert abs(est.extrapolated - limits[pair]) <= 1e-14, (pair, residue)
+
+
+def _weights(orders):
+    """The Lagrange weights at h = 0 of the nodes h = 1/n, exactly."""
+    hs = [Fraction(1, n) for n in orders]
+    return [math.prod(-hk / (hi - hk) for hk in hs if hk != hi) for hi in hs]
+
+
+@pytest.mark.parametrize("cls", SCAN_CLASSES)
+def test_fit_weights_within_the_stop_rules_sums(cls):
+    # the premises of KAPPA on every fit of the class's grid to 10**150: the
+    # entries' weights sum to at most LAMBDA in magnitude, and a correction's
+    # (the difference of two entries' weights) to at most 2
+    assert KAPPA == 2 * SAMPLE_ULPS
+    grid = default_grid(*cls, n_max=10**150)
+    for k in range(3, len(grid) + 1):
+        fit = grid[1:k][-4:]  # the orders richardson_extrapolate fits
+        for m in range(2, len(fit) + 1):
+            weights = _weights(fit[-m:])
+            assert sum(map(abs, weights)) <= LAMBDA[m], fit
+            if m > 2:
+                fewer = [0, *_weights(fit[-m + 1:])]
+                assert sum(abs(a - b) for a, b in zip(weights, fewer)) <= 2, fit
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from(SCAN_CLASSES),
+       k=st.one_of(st.integers(5, 30), st.integers(5, 600)),
+       limit=st.floats(1.0, 2.0, exclude_max=True),
+       c=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       scale=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12]))
+def test_cubic_sequences_come_back_within_the_derived_bound(cls, k, limit, c, scale):
+    # v(n) = L + c1/n + c2/n**2 + c3/n**3 on the first k orders of a class's
+    # grid, so the fit has four nodes, from n >= 8.  There |v - L| < 0.15, so
+    # every tableau value is below 4 and ulp(2L) is at least the ulp of the
+    # largest.  rho is the samples' own rounding, measured exactly.
+    grid = default_grid(*cls, n_max=10**150)[:k]
+    c1, c2, c3 = (x * scale for x in c)
+    samples = [(n, limit + (1 / n) * (c1 + (1 / n) * (c2 + (1 / n) * c3))) for n in grid]
+    rho = max(abs(Fraction(v) - Fraction(limit) - Fraction(c1) / n - Fraction(c2) / n**2
+                  - Fraction(c3) / n**3) for n, v in samples[-4:])
+    n1, n2, n3 = grid[-3:]
+    bound = ((KAPPA + TAU) * Fraction(math.ulp(2 * limit)) + LAMBDA[4] * rho
+             + abs(Fraction(c3)) / (n1 * n2 * n3))
+    assert abs(Fraction(richardson_extrapolate(samples)) - Fraction(limit)) <= bound
 
 
 def grid_by_rungs(pair, residue, n_max):

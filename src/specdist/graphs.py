@@ -74,30 +74,14 @@ class Graph(namedtuple("Graph", "n edges")):
     def __new__(cls, n: int, edges):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = list(edges)
-        # a set built in input order, as _normalized builds it, so that the
-        # frozenset iterates, and reprs, the same either way
-        try:
-            normalized = frozenset({(u, v) if u < v else (v, u) for u, v in edges})
-            valid = all(0 <= u < v < n for u, v in normalized)
-        except (TypeError, ValueError):  # an edge that is no pair of numbers
-            valid = False
-        if not valid:
-            normalized = _normalized(n, edges)
-        return super().__new__(cls, n, normalized)
-
-
-def _normalized(n, edges):
-    """Graph's edge check, edge by edge in input order, so that of several bad
-    edges the first raises."""
-    normalized = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        normalized.add((min(u, v), max(u, v)))
-    return frozenset(normalized)
+        normalized = set()
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            normalized.add((u, v) if u < v else (v, u))
+        return super().__new__(cls, n, frozenset(normalized))
 
 
 def _check_dense_order(n: int):
@@ -168,39 +152,27 @@ def to_edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _malformed(lineno, line, expected):
-    return ValueError(f'line {lineno}: expected "{expected}", got {line!r}')
-
-
 def from_edge_list_text(text: str) -> Graph:
     """Parse the format of ``to_edge_list_text``; blank lines are skipped.
 
     A malformed line raises ValueError naming its 1-based line number.
     """
-    rows = [fields for fields in map(str.split, text.splitlines()) if fields]
-    if not rows or rows[0][0] != "n":
+    n, edges, expected = None, [], "n <count>"
+    try:
+        for no, line in enumerate(text.splitlines(), 1):
+            fields = line.split()
+            if not fields:
+                continue
+            if n is not None:
+                u, v = fields
+                edges.append((int(u), int(v)))
+            elif fields[0] != "n":
+                break
+            else:
+                _, count = fields
+                n, expected = int(count), "i j"
+    except ValueError:
+        raise ValueError(f'line {no}: expected "{expected}", got {line.strip()!r}') from None
+    if n is None:
         raise ValueError('edge list must start with a header line "n <count>"')
-    try:
-        _, count = rows[0]
-        n = int(count)
-        edges = [(int(u), int(v)) for u, v in rows[1:]]
-    except ValueError:
-        raise _first_malformed(text) from None
     return Graph(n, edges)
-
-
-def _first_malformed(text):
-    """The error of the first malformed line, the header included; only
-    called when one is."""
-    lines = ((no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip())
-    no, header = next(lines)
-    try:
-        _, count = header.split()
-        int(count)
-    except ValueError:
-        return _malformed(no, header, "n <count>")
-    for no, ln in lines:
-        try:
-            _, _ = map(int, ln.split())
-        except ValueError:
-            return _malformed(no, ln, "i j")

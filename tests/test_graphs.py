@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import networkx as nx
 import numpy as np
@@ -393,6 +394,31 @@ class TestEdgeList:
     def test_header_with_extra_field_malformed(self):
         with pytest.raises(ValueError, match=r"^line 1: expected \"n <count>\", got 'n 3 4'$"):
             from_edge_list_text("n 3 4\n0 1\n")
+
+    # the line boundaries of str.splitlines besides \n, \r\n and \r, which
+    # edge_list_texts draws; str.split takes \x1c..\x1e for whitespace too
+    OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("end", OTHER_BREAKS)
+    def test_every_splitlines_boundary_breaks_a_line(self, end):
+        for lines, expected in [
+            (["n 3", "0 1", "", "2 1", ""], outcome(Graph, 3, [(0, 1), (2, 1)])),
+            (["n 3 4", "0 1"], (ValueError, "line 1: expected \"n <count>\", got 'n 3 4'")),
+            (["n 3", "0 1", "", "1 x"], (ValueError, "line 4: expected \"i j\", got '1 x'")),
+        ]:
+            text = end.join(lines)
+            assert outcome(from_edge_list_text, text) == outcome(parse_model, text) == expected
+
+    def test_reading_and_writing_need_no_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy raises
+        g = from_edge_list_text("n 3\n0 1\n2 1\n")
+        assert g == Graph(3, [(1, 2), (0, 1)])
+        assert to_edge_list_text(g) == "n 3\n0 1\n1 2\n"
+        assert raised(from_edge_list_text, "n 3\n0 1\n0 x\n") == (
+            ValueError, "line 3: expected \"i j\", got '0 x'")
+        assert raised(from_edge_list_text, "n 3\n0 1\n0 3\n") == (
+            ValueError, "edge (0, 3) out of range for n=3")
+        assert raised(Graph, 3, [(0, 1), (2, 2)]) == (ValueError, "self-loop at vertex 2")
 
 
 def graph_model(n, edges):
